@@ -61,7 +61,11 @@ class CrlbInputs:
 
 @dataclass
 class CrlbReport:
-    """Per-antenna variance lower bounds (NaN at the reference antenna)."""
+    """Per-antenna variance lower bounds (NaN at the reference antenna).
+
+    ``fim_condition`` is the FIM's 2-norm condition number, the ratio of the
+    FIM's extreme eigenvalues.
+    """
 
     bound: np.ndarray
     ref: int
@@ -110,17 +114,19 @@ def _theta_slot(antenna: int, ref: int) -> int:
     return 4 * (antenna - (antenna > ref))
 
 
-def fisher_information(inputs: CrlbInputs) -> np.ndarray:
-    """Fisher information of the stacked real parameters, all pairs summed.
+def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]:
+    """Every measured pair's 8x8 information block and its global indices.
 
-    Assembled pairwise: for every bidirectionally measured pair the complex
-    Gaussian information formula
+    For every bidirectionally measured pair the complex Gaussian information
+    formula
 
         I_ij = tr(S^-1 dS_i S^-1 dS_j) + 2 Re(dmu_i^H S^-1 dmu_j)
 
-    is evaluated on the at-most-eight parameter components the pair touches,
-    then scattered into the global matrix.  The accumulation order is fixed,
-    so the result is bit-reproducible.
+    is evaluated on the eight parameter components the pair touches, ordered
+    as in :data:`PAIR_PARAMS`.  Returns ``(blocks, gidx)`` with shapes
+    (P, 8, 8) and (P, 8): ``gidx`` maps each local component to its slot in
+    the stacked real parameter vector of dimension ``4 * (M - 1)``, and
+    components of the reference antenna to the scratch slot ``4 * (M - 1)``.
     """
     if inputs.noise_var <= 0:
         # the rank-one multipath term alone leaves the 2x2 covariance singular
@@ -173,8 +179,6 @@ def fisher_information(inputs: CrlbInputs) -> np.ndarray:
         tmat = np.einsum("pcd,pide->pice", sinv, ds)
         fim_pair += np.einsum("picd,pjdc->pij", tmat, tmat).real
 
-    # scatter each pair's 8x8 block; parameters of the reference antenna are
-    # routed to a scratch slot that is sliced away afterwards
     dim = 4 * (M - 1)
     offsets = np.arange(4)
     slot_n = np.where(n_idx == ref, dim, _theta_slot(n_idx, ref))
@@ -186,9 +190,22 @@ def fisher_information(inputs: CrlbInputs) -> np.ndarray:
         ],
         axis=1,
     )
-    fim = np.zeros((dim + 1, dim + 1))
-    np.add.at(fim, (gidx[:, :, None], gidx[:, None, :]), fim_pair)
-    return fim[:dim, :dim]
+    return fim_pair, gidx
+
+
+def fisher_information(inputs: CrlbInputs) -> np.ndarray:
+    """Fisher information of the stacked real parameters, all pairs summed.
+
+    Assembled pairwise from :func:`pair_information_blocks`: each pair's 8x8
+    block is scattered into the global matrix, with the reference antenna's
+    parameters routed to a scratch slot that is sliced away afterwards.  The
+    blocks are added in pair order, so the result is bit-reproducible.
+    """
+    fim_pair, gidx = pair_information_blocks(inputs)
+    dim = 4 * (inputs.frontend.n_antennas - 1)
+    flat = (gidx[:, :, None] * (dim + 1) + gidx[:, None, :]).ravel()
+    fim = np.bincount(flat, weights=fim_pair.ravel(), minlength=(dim + 1) ** 2)
+    return fim.reshape(dim + 1, dim + 1)[:dim, :dim]
 
 
 def coefficient_jacobian(frontend: FrontEnd) -> np.ndarray:
@@ -224,4 +241,7 @@ def crlb_coefficients(inputs: CrlbInputs) -> CrlbReport:
     solved = scipy.linalg.cho_solve(factor, jac.conj().T)
     bound = np.einsum("md,dm->m", jac, solved).real
     bound[inputs.frontend.ref] = np.nan
-    return CrlbReport(bound, inputs.frontend.ref, float(np.linalg.cond(fim)))
+    # the Cholesky factorisation proved the FIM positive definite, so its
+    # singular values are its eigenvalues
+    eigs = scipy.linalg.eigvalsh(fim)
+    return CrlbReport(bound, inputs.frontend.ref, float(eigs[-1] / eigs[0]))

@@ -125,7 +125,9 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
     remaining entries solve the stationarity system of the quadratic cost.
     With ``unit-norm`` the estimate is the unit eigenvector of the smallest
     eigenvalue of the moment matrix, rotated so the anchor entry (``ref`` if
-    given, else the largest-magnitude one) is real positive.
+    given, else the largest-magnitude one) is real positive.  Only that
+    smallest eigenpair is computed (LAPACK's MRRR solver after the cubic
+    tridiagonal reduction), not the whole spectrum.
     """
     pair_mask, _ = _masked_measurements(data)
     if not pair_mask.any():
@@ -153,7 +155,7 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
         return CalibrationEstimate(c, GMM, REF_ONE, ref=ref)
 
     if constraint == UNIT_NORM:
-        _, vecs = scipy.linalg.eigh(q, driver="evd")
+        _, vecs = scipy.linalg.eigh(q, subset_by_index=[0, 0])
         c = vecs[:, 0]
         anchor = ref if ref is not None else int(np.argmax(np.abs(c)))
         if np.abs(c[anchor]) > 0:

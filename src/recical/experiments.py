@@ -157,6 +157,9 @@ def _run_trials(worker, ctx, trials: int, workers: int) -> list:
 @dataclass
 class _MseContext:
     config: ExperimentConfig
+    geometry: ArrayGeometry
+    model: CouplingModel
+    frontend: FrontEnd
     coupling_mean: np.ndarray
     n0: float
 
@@ -164,9 +167,9 @@ class _MseContext:
 def _mse_trial(t: int):
     ctx = _CTX
     config = ctx.config
-    geom, model, fe = build_setup(config)
+    fe = ctx.frontend
     rng = trial_rng(config.seed, "mse-sweep", t)
-    h = draw_channel(geom, model, rng, coupling=ctx.coupling_mean)
+    h = draw_channel(ctx.geometry, ctx.model, rng, coupling=ctx.coupling_mean)
     data = sound(h, fe, ctx.n0, rng)
     gmm = gmm_estimate(data, config.estimator.gmm_constraint, ref=fe.ref)
     em = em_calibrate(data, _em_settings(config))
@@ -188,7 +191,7 @@ def run_mse_sweep(config: ExperimentConfig, out_dir: Path) -> list[Path]:
         n0 = db_to_linear(n0_db)
         bound = crlb_coefficients(CrlbInputs(fe, hbar, model.sigma2, n0, mask)).bound
         bound_r = crlb_coefficients(CrlbInputs(fe, hbar, model.sigma2, n0, rmask)).bound
-        ctx = _MseContext(config, hbar, n0)
+        ctx = _MseContext(config, geom, model, fe, hbar, n0)
         results = _run_trials(_mse_trial, ctx, config.trials, config.workers)
         gmm_estimates = [CalibrationEstimate(g, "gmm", "", ref=ref) for g, _ in results]
         em_estimates = [CalibrationEstimate(e, "em", "", ref=ref) for _, e in results]
@@ -215,6 +218,9 @@ def run_mse_sweep(config: ExperimentConfig, out_dir: Path) -> list[Path]:
 @dataclass
 class _ConvergenceContext:
     config: ExperimentConfig
+    geometry: ArrayGeometry
+    model: CouplingModel
+    frontend: FrontEnd
     coupling_mean: np.ndarray
     epsilon: float
 
@@ -222,10 +228,9 @@ class _ConvergenceContext:
 def _convergence_trial(t: int):
     ctx = _CTX
     config = ctx.config
-    geom, model, fe = build_setup(config)
     rng = trial_rng(config.seed, "convergence", t)
-    h = draw_channel(geom, model, rng, coupling=ctx.coupling_mean)
-    data = sound(h, fe, db_to_linear(config.convergence.n0_db), rng)
+    h = draw_channel(ctx.geometry, ctx.model, rng, coupling=ctx.coupling_mean)
+    data = sound(h, ctx.frontend, db_to_linear(config.convergence.n0_db), rng)
     settings = _em_settings(config, epsilon=ctx.epsilon)
     settings.keep_history = True
     est = em_calibrate(data, settings)
@@ -243,7 +248,7 @@ def run_convergence(config: ExperimentConfig, out_dir: Path) -> list[Path]:
 
     rows = []
     for eps in config.estimator.epsilon_grid:
-        ctx = _ConvergenceContext(config, hbar, eps)
+        ctx = _ConvergenceContext(config, geom, model, fe, hbar, eps)
         results = _run_trials(_convergence_trial, ctx, config.trials, config.workers)
         mse_acc = np.zeros(track)
         delta_acc = np.zeros(track)
@@ -269,19 +274,21 @@ def run_convergence(config: ExperimentConfig, out_dir: Path) -> list[Path]:
 @dataclass
 class _CapacityContext:
     config: ExperimentConfig
+    geometry: ArrayGeometry
+    model: CouplingModel
+    frontend: FrontEnd
     coupling_mean: np.ndarray
 
 
 def _capacity_trial(t: int):
     ctx = _CTX
     config = ctx.config
-    geom, model, fe = build_setup(config)
     cap = config.capacity
     rng = trial_rng(config.seed, "capacity", t)
     return capacity_trial(
-        geom,
-        model,
-        fe,
+        ctx.geometry,
+        ctx.model,
+        ctx.frontend,
         db_to_linear(cap.cal_n0_db),
         cap.n_users,
         tuple(cap.variants),
@@ -298,7 +305,7 @@ def run_capacity(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Sum-rate samples per calibration variant and precoder."""
     geom, model, fe = build_setup(config)
     hbar = draw_coupling(geom, model, shared_rng(config.seed, "capacity"))
-    ctx = _CapacityContext(config, hbar)
+    ctx = _CapacityContext(config, geom, model, fe, hbar)
     results = _run_trials(_capacity_trial, ctx, config.trials, config.workers)
     rows = []
     for variant in config.capacity.variants:

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from recical.geometry import CouplingModel
+
+# derandomized so that every run of the suite draws the same cases; the
+# property tests read only the immutable ``coupling`` fixture
+settings.register_profile(
+    "recical",
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+settings.load_profile("recical")
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@
 import numpy as np
 
 from recical.crlb import CrlbInputs, pair_statistics, pair_statistics_derivatives
+from recical.estimators import moment_matrix
 from recical.frontend import FrontEnd
+from recical.sounding import SoundingData
 
 
 def perturbed_frontend(fe: FrontEnd, antenna: int, component: int, step: float) -> FrontEnd:
@@ -70,3 +72,24 @@ def random_crlb_instance(n_antennas: int, seed: int, sigma2: float = 1e-4, noise
     hbar = np.triu(mag * np.exp(2j * np.pi * phase), k=1)
     hbar = hbar + hbar.T
     return CrlbInputs(fe, hbar, sigma2, noise_var, full_mask(n_antennas))
+
+
+def scatter_add_at(blocks: np.ndarray, gidx: np.ndarray, dim: int) -> np.ndarray:
+    """Fisher information assembled with ``np.add.at`` from per-pair blocks.
+
+    ``blocks`` and ``gidx`` are what :func:`recical.crlb.pair_information_blocks`
+    returns; slot ``dim`` is the reference antenna's scratch slot.
+    """
+    fim = np.zeros((dim + 1, dim + 1))
+    np.add.at(fim, (gidx[:, :, None], gidx[:, None, :]), blocks)
+    return fim[:dim, :dim]
+
+
+def unit_norm_gmm_full_eigh(data: SoundingData, ref: int | None) -> np.ndarray:
+    """Unit-norm GMM from the full spectrum: smallest eigenvector, anchor rotated real positive."""
+    _, vecs = np.linalg.eigh(moment_matrix(data))
+    c = vecs[:, 0]
+    anchor = ref if ref is not None else int(np.argmax(np.abs(c)))
+    if np.abs(c[anchor]) > 0:
+        c = c * (np.abs(c[anchor]) / c[anchor])
+    return c

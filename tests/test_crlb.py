@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
-from oracles import finite_difference_worst_error, random_crlb_instance
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import finite_difference_worst_error, random_crlb_instance, scatter_add_at
 
 from recical.crlb import (
     CrlbInputs,
     crlb_coefficients,
     fisher_information,
+    pair_information_blocks,
     pair_statistics,
 )
 from recical.errors import IdentifiabilityError
 from recical.estimators import EmSettings, em_calibrate, score_mse
-from recical.frontend import FrontEnd, deterministic_frontend, true_coefficients
+from recical.frontend import FrontEnd, deterministic_frontend, random_frontend, true_coefficients
 from recical.geometry import build_geometry, draw_channel, draw_coupling, full_mask, reduced_mask
 from recical.sounding import sound
 
@@ -21,6 +24,33 @@ def unit_ref_frontend(tx, rx, ref):
     tx = np.asarray(tx, dtype=complex)
     rx = np.asarray(rx, dtype=complex)
     return FrontEnd(tx / tx[ref], rx / rx[ref], ref)
+
+
+def crlb_instance(coupling, rows, cols, radius, ref, multipath, noise_var, seed):
+    """Random front-end and coupling draw; ``radius`` None means the full mask."""
+    geom = build_geometry(rows, cols)
+    rng = np.random.default_rng(seed)
+    fe = random_frontend(geom.n_antennas, ref, 0.3, rng)
+    hbar = draw_coupling(geom, coupling, rng)
+    mask = full_mask(geom.n_antennas) if radius is None else reduced_mask(geom, radius)
+    return CrlbInputs(fe, hbar, coupling.sigma2 if multipath else 0.0, noise_var, mask)
+
+
+@st.composite
+def crlb_cases(draw):
+    """Arguments of ``crlb_instance`` after the coupling model.
+
+    The multipath variance is the coupling model's (-60 dB) or zero, and the
+    noise level is on the -100 to -30 dB grid.
+    """
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(2, 7))
+    radius = draw(st.sampled_from([None, 0.5, 0.75, 1.5]))
+    ref = draw(st.integers(0, rows * cols - 1))
+    multipath = draw(st.booleans())
+    noise_var = draw(st.sampled_from([1e-10, 1e-8, 1e-6, 1e-4, 1e-3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return rows, cols, radius, ref, multipath, noise_var, seed
 
 
 class TestPairStatistics:
@@ -78,6 +108,22 @@ class TestFisherInformation:
         doubled = CrlbInputs(base.frontend, base.coupling_mean, 0.0, 2e-3, base.mask)
         assert fisher_information(doubled) == pytest.approx(0.5 * fisher_information(base))
 
+    @given(crlb_cases())
+    def test_bincount_scatter_matches_add_at(self, coupling, case):
+        inputs = crlb_instance(coupling, *case)
+        dim = 4 * (inputs.frontend.n_antennas - 1)
+        expected = scatter_add_at(*pair_information_blocks(inputs), dim)
+        assert np.array_equal(fisher_information(inputs), expected)
+
+    @pytest.mark.parametrize("radius", [None, 1.5])
+    @pytest.mark.parametrize("rows, cols", [(3, 7), (4, 25), (8, 25)])
+    def test_bincount_scatter_matches_add_at_full_size(self, coupling, rows, cols, radius):
+        m = rows * cols
+        for ref, noise_var in ((0, 1e-10), (m // 2, 1e-6), (m - 1, 1e-3)):
+            inputs = crlb_instance(coupling, rows, cols, radius, ref, True, noise_var, seed=ref)
+            expected = scatter_add_at(*pair_information_blocks(inputs), 4 * (m - 1))
+            assert np.array_equal(fisher_information(inputs), expected)
+
     def test_zero_noise_rejected(self):
         inputs = random_crlb_instance(3, seed=4, sigma2=1e-4, noise_var=0.0)
         with pytest.raises(ValueError):
@@ -98,6 +144,13 @@ class TestCrlbCoefficients:
         assert np.all(report.bound[others] > 0)
         assert np.isnan(report.bound[ref])
         assert report.fim_condition >= 1.0
+
+    @given(crlb_cases())
+    def test_condition_is_two_norm_condition(self, coupling, case):
+        inputs = crlb_instance(coupling, *case)
+        report = crlb_coefficients(inputs)
+        expected = np.linalg.cond(fisher_information(inputs))
+        assert report.fim_condition == pytest.approx(expected, rel=1e-9)
 
     def test_invariant_to_coupling_phases(self, coupling):
         geom = build_geometry(2, 4)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import unit_norm_gmm_full_eigh
 
 from recical.errors import DegeneracyError, IdentifiabilityError
 from recical.estimators import (
@@ -48,6 +51,26 @@ def make_chain_data(n, coupling, noise_var, seed):
 
 def normalize(c, ref=0):
     return c / c[ref]
+
+
+@st.composite
+def sounding_cases(draw):
+    """Random array, mask radius (None: full), reference (or none), and noise level (0 included)."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(2, 7))
+    radius = draw(st.sampled_from([None, 0.5, 0.75, 1.5]))
+    ref = draw(st.none() | st.integers(0, rows * cols - 1))
+    noise_var = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-4, 1e-3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return rows, cols, radius, ref, noise_var, seed
+
+
+def sounded(coupling, case):
+    """Sounding data of one ``sounding_cases`` draw, with its reference."""
+    rows, cols, radius, ref, noise_var, seed = case
+    mask = None if radius is None else reduced_mask(build_geometry(rows, cols), radius)
+    data, _ = make_data(rows, cols, coupling, noise_var, seed, ref=ref or 0, mask=mask)
+    return data, ref
 
 
 class TestGmm:
@@ -119,6 +142,13 @@ class TestGmm:
         with pytest.raises(ValueError):
             gmm_estimate(data, constraint="lasso", ref=0)
 
+    @given(sounding_cases())
+    def test_unit_norm_matches_full_spectrum(self, coupling, case):
+        data, ref = sounded(coupling, case)
+        est = gmm_estimate(data, constraint="unit-norm", ref=ref)
+        expected = unit_norm_gmm_full_eigh(data, ref)
+        assert np.max(np.abs(est.c_hat - expected)) < 1e-10
+
 
 class TestEm:
     def test_truth_init_noiseless_converges_in_one_iteration(self, coupling):
@@ -175,6 +205,16 @@ class TestEm:
         data.matrix[:] = 0.0
         with pytest.raises(DegeneracyError):
             em_calibrate(data, EmSettings(init=np.ones(3, complex), epsilon=0.0))
+
+    @given(sounding_cases())
+    def test_default_init_is_unit_norm_gmm(self, coupling, case):
+        data, ref = sounded(coupling, case)
+        default = em_calibrate(data, EmSettings(ref=ref))
+        explicit = em_calibrate(
+            data, EmSettings(ref=ref, init=gmm_estimate(data, "unit-norm", ref=ref).c_hat)
+        )
+        assert np.array_equal(default.c_hat, explicit.c_hat)
+        assert default.iterations == explicit.iterations
 
     def test_random_init_requires_rng(self, coupling):
         data, _ = make_data(1, 3, coupling, 1e-6, seed=18)
