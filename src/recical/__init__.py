@@ -13,7 +13,6 @@ from .crlb import CrlbInputs, CrlbReport, crlb_coefficients, fisher_information,
 from .downlink import (
     DownlinkScenario,
     calibrated_downlink,
-    capacity_experiment,
     evm,
     mrt_precoder,
     sum_rate,
@@ -75,7 +74,6 @@ __all__ = [
     "WidebandTruth",
     "build_geometry",
     "calibrated_downlink",
-    "capacity_experiment",
     "coupling_gain_db",
     "crlb_coefficients",
     "deterministic_frontend",

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import types
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 EXPERIMENTS = (
     "mse-sweep",
@@ -275,6 +276,23 @@ class ExperimentConfig:
         return asdict(self)
 
 
+def _matches(value: Any, hint: Any) -> bool:
+    """Whether a JSON value fits an annotation: int rejects bool and float, float takes int, null needs ``| None``."""
+    if get_origin(hint) is types.UnionType:
+        return any(_matches(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_matches(v, get_args(hint)[0]) for v in value)
+    allowed = (int, float) if hint is float else hint
+    return isinstance(value, allowed) and (hint is bool or not isinstance(value, bool))
+
+
+def _check_types(prefix: str, cls, values: dict[str, Any]) -> None:
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in values and not _matches(values[f.name], hints[f.name]):
+            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {values[f.name]!r}")
+
+
 def _build_section(name: str, cls, payload: Any):
     if not isinstance(payload, dict):
         raise ConfigError(f"section {name!r} must be an object")
@@ -282,11 +300,12 @@ def _build_section(name: str, cls, payload: Any):
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
+    _check_types(f"{name}.", cls, payload)
     return cls(**payload)
 
 
 def config_from_dict(payload: dict[str, Any]) -> ExperimentConfig:
-    """Build and validate a config from a parsed JSON object."""
+    """Build, type-check against the field annotations, and validate a config from parsed JSON."""
     if not isinstance(payload, dict):
         raise ConfigError("configuration root must be a JSON object")
     known = set(ExperimentConfig.__dataclass_fields__)
@@ -299,10 +318,8 @@ def config_from_dict(payload: dict[str, Any]) -> ExperimentConfig:
             kwargs[key] = _build_section(key, _SECTION_TYPES[key], value)
         else:
             kwargs[key] = value
-    try:
-        cfg = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    _check_types("", ExperimentConfig, kwargs)
+    cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
 

@@ -83,30 +83,31 @@ def pair_statistics(inputs: CrlbInputs, n: int, m: int) -> tuple[np.ndarray, np.
     return mu, cov
 
 
-def pair_statistics_derivatives(inputs: CrlbInputs, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic derivatives of the pair mean and covariance.
+def pair_derivatives(
+    inputs: CrlbInputs, n_idx: np.ndarray, m_idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic derivatives of the observations of the pairs (n_idx[p], m_idx[p]).
 
-    Returns ``(dmu, dcov)`` with shapes (8, 2) and (8, 2, 2), ordered as in
-    :data:`PAIR_PARAMS`: real/imaginary parts of t_n, r_n, then of t_m, r_m.
+    Returns ``(v, dv, dcov)`` with shapes (P, 2), (P, 8, 2) and (P, 8, 2, 2):
+    the gain vector v = [r_n t_m, r_m t_n] of each pair, its derivatives
+    ordered as in :data:`PAIR_PARAMS`, and the covariance derivatives
+    sigma2 (dv v^H + v dv^H).  The mean derivatives are hbar[n, m] * dv.
     """
-    if n == m:
-        raise ValueError("pair statistics need two distinct antennas")
     t, r = inputs.frontend.tx, inputs.frontend.rx
-    v = np.array([r[n] * t[m], r[m] * t[n]])
-    dv = np.zeros((8, 2), dtype=complex)
-    dv[0, 1] = r[m]          # d b / d Re t_n
-    dv[1, 1] = 1j * r[m]
-    dv[2, 0] = t[m]          # d a / d Re r_n
-    dv[3, 0] = 1j * t[m]
-    dv[4, 0] = r[n]          # d a / d Re t_m
-    dv[5, 0] = 1j * r[n]
-    dv[6, 1] = t[n]          # d b / d Re r_m
-    dv[7, 1] = 1j * t[n]
-    dmu = inputs.coupling_mean[n, m] * dv
+    v = np.stack([r[n_idx] * t[m_idx], r[m_idx] * t[n_idx]], axis=1)
+    dv = np.zeros((n_idx.size, 8, 2), dtype=complex)
+    dv[:, 0, 1] = r[m_idx]       # d b / d Re t_n
+    dv[:, 1, 1] = 1j * r[m_idx]
+    dv[:, 2, 0] = t[m_idx]       # d a / d Re r_n
+    dv[:, 3, 0] = 1j * t[m_idx]
+    dv[:, 4, 0] = r[n_idx]       # d a / d Re t_m
+    dv[:, 5, 0] = 1j * r[n_idx]
+    dv[:, 6, 1] = t[n_idx]       # d b / d Re r_m
+    dv[:, 7, 1] = 1j * t[n_idx]
     dcov = inputs.sigma2 * (
-        np.einsum("ic,d->icd", dv, v.conj()) + np.einsum("c,id->icd", v, dv.conj())
+        np.einsum("pic,pd->picd", dv, v.conj()) + np.einsum("pc,pid->picd", v, dv.conj())
     )
-    return dmu, dcov
+    return v, dv, dcov
 
 
 def _theta_slot(antenna: int, ref: int) -> int:
@@ -139,22 +140,10 @@ def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]
     if n_idx.size == 0:
         raise IdentifiabilityError("no bidirectionally measured pair; the information is empty")
 
-    t, r = fe.tx, fe.rx
-    a = r[n_idx] * t[m_idx]
-    b = r[m_idx] * t[n_idx]
     P = n_idx.size
-    v = np.stack([a, b], axis=1)                      # (P, 2)
+    v, dv, ds = pair_derivatives(inputs, n_idx, m_idx)
+    a, b = v[:, 0], v[:, 1]
     habs2 = np.abs(inputs.coupling_mean[n_idx, m_idx]) ** 2
-
-    dv = np.zeros((P, 8, 2), dtype=complex)
-    dv[:, 0, 1] = r[m_idx]
-    dv[:, 1, 1] = 1j * r[m_idx]
-    dv[:, 2, 0] = t[m_idx]
-    dv[:, 3, 0] = 1j * t[m_idx]
-    dv[:, 4, 0] = r[n_idx]
-    dv[:, 5, 0] = 1j * r[n_idx]
-    dv[:, 6, 1] = t[n_idx]
-    dv[:, 7, 1] = 1j * t[n_idx]
 
     s2, n0 = inputs.sigma2, inputs.noise_var
     aa = s2 * np.abs(a) ** 2 + n0
@@ -172,10 +161,6 @@ def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]
     fim_pair = 2.0 * habs2[:, None, None] * g.real
 
     if s2 > 0:
-        ds = s2 * (
-            np.einsum("pic,pd->picd", dv, v.conj())
-            + np.einsum("pc,pid->picd", v, dv.conj())
-        )
         tmat = np.einsum("pcd,pide->pice", sinv, ds)
         fim_pair += np.einsum("picd,pjdc->pij", tmat, tmat).real
 

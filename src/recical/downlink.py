@@ -195,45 +195,3 @@ def capacity_trial(
     ordered = {v: coefficients[v] for v in variants}
     return variant_sum_rates(scenario, ordered)
 
-
-def capacity_experiment(
-    geom: ArrayGeometry,
-    coupling: CouplingModel,
-    frontend: FrontEnd,
-    cal_noise_var: float,
-    n_users: int,
-    variants: tuple[str, ...],
-    trials: int,
-    rng: np.random.Generator,
-    coupling_mean: np.ndarray | None = None,
-    em_settings: EmSettings | None = None,
-    gmm_constraint: str = "unit-norm",
-    dl_noise_var: float = 1.0,
-    reciprocal_users: bool = True,
-) -> dict[str, dict[str, np.ndarray]]:
-    """Empirical sum-rate samples per variant and precoder over many trials."""
-    samples: dict[str, dict[str, list[float]]] = {
-        v: {ZF: [], MRT: []} for v in variants
-    }
-    for _ in range(trials):
-        rates = capacity_trial(
-            geom,
-            coupling,
-            frontend,
-            cal_noise_var,
-            n_users,
-            variants,
-            rng,
-            coupling_mean=coupling_mean,
-            em_settings=em_settings,
-            gmm_constraint=gmm_constraint,
-            dl_noise_var=dl_noise_var,
-            reciprocal_users=reciprocal_users,
-        )
-        for variant, per_precoder in rates.items():
-            for kind, rate in per_precoder.items():
-                samples[variant][kind].append(rate)
-    return {
-        v: {kind: np.asarray(vals) for kind, vals in per.items()}
-        for v, per in samples.items()
-    }

@@ -135,10 +135,10 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
     _check_connected(pair_mask, ref if constraint == REF_ONE else None)
     q = moment_matrix(data)
     M = data.n_antennas
+    if (ref is None and constraint == REF_ONE) or (ref is not None and not 0 <= ref < M):
+        raise ValueError(f"{constraint} constraint needs a reference index in 0..{M - 1}, got {ref}")
 
     if constraint == REF_ONE:
-        if ref is None or not (0 <= ref < M):
-            raise ValueError(f"ref-one constraint needs a valid reference index, got {ref}")
         others = np.arange(M) != ref
         q_oo = q[np.ix_(others, others)]
         q_or = q[others, ref]
@@ -172,19 +172,31 @@ def _em_objective(y, pair_mask, psi, c, epsilon) -> float:
     return float(np.sum(np.abs(resid) ** 2) + pen)
 
 
-def _em_psi_step(y, pair_mask, c, epsilon) -> np.ndarray:
-    """Equivalent-channel update: exact regularized minimizer given c."""
+def _em_psi_step(y, yt, off_mask, c, epsilon) -> np.ndarray:
+    """Equivalent-channel update: exact regularized minimizer given c.
+
+    psi_nm = (conj(c)_n y_mn + conj(c)_m y_nm) / (|c_n|^2 + |c_m|^2 + 2 eps)
+    on the measured pairs and zero on ``off_mask``; ``yt`` is y transposed
+    (the EM loop passes a contiguous copy made once).
+    """
     cc = np.abs(c) ** 2
-    num = np.conj(c)[:, None] * y.T + y * np.conj(c)[None, :]
-    den = cc[:, None] + cc[None, :] + 2.0 * epsilon
-    return np.where(pair_mask, num / den, 0.0)
+    psi = yt * np.conj(c)[:, None]
+    psi += y * np.conj(c)[None, :]
+    den = cc[:, None] + cc[None, :]
+    den += 2.0 * epsilon
+    psi /= den
+    psi[off_mask] = 0.0
+    return psi
 
 
-def _em_c_step(y, psi, epsilon) -> np.ndarray:
-    """Coefficient update: exact regularized minimizer given the channel."""
+def _em_c_step(y, psi, epsilon) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient update c = num / den, the exact regularized minimizer given psi.
+
+    num_m = sum_n conj(psi)_nm y_nm and den_m = eps + sum_n |psi_nm|^2.
+    """
     num = np.sum(np.conj(psi) * y, axis=0)
-    den = epsilon + np.sum(np.abs(psi) ** 2, axis=0)
-    return num / den
+    den = epsilon + np.sum(psi.real * psi.real + psi.imag * psi.imag, axis=0)
+    return num, den
 
 
 def em_calibrate(
@@ -227,31 +239,13 @@ def em_calibrate(
     history = EmHistory() if settings.keep_history else None
     converged = False
     iterations = 0
-    off_mask = ~pair_mask
     yt = np.ascontiguousarray(y.T)
-    # preallocated per-iteration work buffers; the loop is pure elementwise
-    # arithmetic on M x M arrays plus two column reductions
-    psi = np.empty_like(y)
-    den = np.empty(y.shape)
-    work = np.empty_like(y)
-    mag = np.empty(y.shape)
+    off_mask = ~pair_mask
     for iterations in range(1, max_iter + 1):
-        cc = np.abs(c) ** 2
-        # channel update: psi = (conj(c)_n y_mn + conj(c)_m y_nm) / (cc_n + cc_m + 2 eps)
-        np.multiply(yt, np.conj(c)[:, None], out=psi)
-        np.multiply(y, np.conj(c)[None, :], out=work)
-        psi += work
-        np.add(cc[:, None], cc[None, :], out=den)
-        den += 2.0 * eps
-        psi /= den
-        psi[off_mask] = 0.0
-        # coefficient update: c_m = sum_n conj(psi)_nm y_nm / (eps + sum_n |psi_nm|^2)
-        np.multiply(np.conj(psi), y, out=work)
-        num = work.sum(axis=0)
-        np.multiply(psi.real, psi.real, out=mag)
-        mag += psi.imag * psi.imag
+        psi = _em_psi_step(y, yt, off_mask, c, eps)
+        num, den = _em_c_step(y, psi, eps)
         with np.errstate(invalid="ignore", divide="ignore"):
-            c_new = num / (eps + mag.sum(axis=0))
+            c_new = num / den
         if not np.all(np.isfinite(c_new)):
             raise DegeneracyError(
                 "coefficient update produced non-finite values; with epsilon=0 "
@@ -293,9 +287,10 @@ def em_fixed_point_residuals(data: SoundingData, estimate: CalibrationEstimate) 
     """
     pair_mask, y = _masked_measurements(data)
     eps = estimate.epsilon
-    psi = _em_psi_step(y, pair_mask, estimate.c_hat, eps)
-    c_next = _em_c_step(y, psi, eps)
-    psi_next = _em_psi_step(y, pair_mask, c_next, eps)
+    psi = _em_psi_step(y, y.T, ~pair_mask, estimate.c_hat, eps)
+    num, den = _em_c_step(y, psi, eps)
+    c_next = num / den
+    psi_next = _em_psi_step(y, y.T, ~pair_mask, c_next, eps)
     return (
         float(np.linalg.norm(psi_next - psi)),
         float(np.linalg.norm(c_next - estimate.c_hat)),
@@ -309,9 +304,8 @@ def em_coefficient_gradient(data: SoundingData, estimate: CalibrationEstimate) -
     converged run must make this vanish up to the convergence threshold.
     """
     pair_mask, y = _masked_measurements(data)
-    psi = _em_psi_step(y, pair_mask, estimate.c_hat, estimate.epsilon)
-    den = estimate.epsilon + np.sum(np.abs(psi) ** 2, axis=0)
-    num = np.sum(np.conj(psi) * y, axis=0)
+    psi = _em_psi_step(y, y.T, ~pair_mask, estimate.c_hat, estimate.epsilon)
+    num, den = _em_c_step(y, psi, estimate.epsilon)
     return den * estimate.c_hat - num
 
 

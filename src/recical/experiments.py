@@ -155,13 +155,15 @@ def _run_trials(worker, ctx, trials: int, workers: int) -> list:
 
 
 @dataclass
-class _MseContext:
+class _TrialContext:
+    """What the trials of one pass share; ``point`` is N0 (mse-sweep) or epsilon (convergence)."""
+
     config: ExperimentConfig
     geometry: ArrayGeometry
     model: CouplingModel
     frontend: FrontEnd
     coupling_mean: np.ndarray
-    n0: float
+    point: float | None = None
 
 
 def _mse_trial(t: int):
@@ -170,7 +172,7 @@ def _mse_trial(t: int):
     fe = ctx.frontend
     rng = trial_rng(config.seed, "mse-sweep", t)
     h = draw_channel(ctx.geometry, ctx.model, rng, coupling=ctx.coupling_mean)
-    data = sound(h, fe, ctx.n0, rng)
+    data = sound(h, fe, ctx.point, rng)
     gmm = gmm_estimate(data, config.estimator.gmm_constraint, ref=fe.ref)
     em = em_calibrate(data, _em_settings(config))
     return gmm.c_hat, em.c_hat
@@ -191,7 +193,7 @@ def run_mse_sweep(config: ExperimentConfig, out_dir: Path) -> list[Path]:
         n0 = db_to_linear(n0_db)
         bound = crlb_coefficients(CrlbInputs(fe, hbar, model.sigma2, n0, mask)).bound
         bound_r = crlb_coefficients(CrlbInputs(fe, hbar, model.sigma2, n0, rmask)).bound
-        ctx = _MseContext(config, geom, model, fe, hbar, n0)
+        ctx = _TrialContext(config, geom, model, fe, hbar, n0)
         results = _run_trials(_mse_trial, ctx, config.trials, config.workers)
         gmm_estimates = [CalibrationEstimate(g, "gmm", "", ref=ref) for g, _ in results]
         em_estimates = [CalibrationEstimate(e, "em", "", ref=ref) for _, e in results]
@@ -215,23 +217,13 @@ def run_mse_sweep(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     return [path]
 
 
-@dataclass
-class _ConvergenceContext:
-    config: ExperimentConfig
-    geometry: ArrayGeometry
-    model: CouplingModel
-    frontend: FrontEnd
-    coupling_mean: np.ndarray
-    epsilon: float
-
-
 def _convergence_trial(t: int):
     ctx = _CTX
     config = ctx.config
     rng = trial_rng(config.seed, "convergence", t)
     h = draw_channel(ctx.geometry, ctx.model, rng, coupling=ctx.coupling_mean)
     data = sound(h, ctx.frontend, db_to_linear(config.convergence.n0_db), rng)
-    settings = _em_settings(config, epsilon=ctx.epsilon)
+    settings = _em_settings(config, epsilon=ctx.point)
     settings.keep_history = True
     est = em_calibrate(data, settings)
     return est.c_hat, est.history.coefficients, est.history.deltas, est.iterations, est.converged
@@ -248,7 +240,7 @@ def run_convergence(config: ExperimentConfig, out_dir: Path) -> list[Path]:
 
     rows = []
     for eps in config.estimator.epsilon_grid:
-        ctx = _ConvergenceContext(config, geom, model, fe, hbar, eps)
+        ctx = _TrialContext(config, geom, model, fe, hbar, eps)
         results = _run_trials(_convergence_trial, ctx, config.trials, config.workers)
         mse_acc = np.zeros(track)
         delta_acc = np.zeros(track)
@@ -269,15 +261,6 @@ def run_convergence(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     path = out_dir / "convergence.csv"
     write_csv(path, ["epsilon", "iteration", "mse_db", "delta"], rows)
     return [path]
-
-
-@dataclass
-class _CapacityContext:
-    config: ExperimentConfig
-    geometry: ArrayGeometry
-    model: CouplingModel
-    frontend: FrontEnd
-    coupling_mean: np.ndarray
 
 
 def _capacity_trial(t: int):
@@ -305,7 +288,7 @@ def run_capacity(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Sum-rate samples per calibration variant and precoder."""
     geom, model, fe = build_setup(config)
     hbar = draw_coupling(geom, model, shared_rng(config.seed, "capacity"))
-    ctx = _CapacityContext(config, geom, model, fe, hbar)
+    ctx = _TrialContext(config, geom, model, fe, hbar)
     results = _run_trials(_capacity_trial, ctx, config.trials, config.workers)
     rows = []
     for variant in config.capacity.variants:

@@ -93,9 +93,9 @@ def pair_distance_polarization(geom: ArrayGeometry, m: int, n: int) -> tuple[flo
     return dist, pol
 
 
-def coupling_gain_db(model: CouplingModel, distance: float, pol: str) -> float:
-    """Coupling gain in dB at the given distance for one polarization branch."""
-    if distance <= 0:
+def coupling_gain_db(model: CouplingModel, distance: float | np.ndarray, pol: str) -> float | np.ndarray:
+    """Coupling gain in dB at the given distance (scalar or array) for one polarization branch."""
+    if np.any(np.asarray(distance) <= 0):
         raise ValueError(f"distance must be positive, got {distance}")
     if pol == CO:
         return model.co_intercept + model.co_slope * distance
@@ -121,14 +121,10 @@ def _mirror_upper(values: np.ndarray) -> np.ndarray:
 def coupling_magnitudes(geom: ArrayGeometry, model: CouplingModel) -> np.ndarray:
     """Deterministic |coupling| amplitude for every antenna pair (NaN diagonal)."""
     dist, co = _pair_geometry(geom)
-    gain_db = np.where(
-        co,
-        model.co_intercept + model.co_slope * dist,
-        model.cross_intercept + model.cross_slope * dist,
-    )
-    amp = 10.0 ** (gain_db / 20.0)
-    np.fill_diagonal(amp, np.nan)
-    return amp
+    gain_db = np.full(dist.shape, np.nan)
+    for pol, branch in ((CO, co & (dist > 0)), (CROSS, ~co)):
+        gain_db[branch] = coupling_gain_db(model, dist[branch], pol)
+    return 10.0 ** (gain_db / 20.0)
 
 
 def draw_coupling(geom: ArrayGeometry, model: CouplingModel, rng: np.random.Generator) -> np.ndarray:

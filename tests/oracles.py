@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from recical.crlb import CrlbInputs, pair_statistics, pair_statistics_derivatives
+from recical.crlb import CrlbInputs, pair_derivatives, pair_statistics
 from recical.estimators import moment_matrix
 from recical.frontend import FrontEnd
 from recical.sounding import SoundingData
@@ -23,11 +23,15 @@ def perturbed_frontend(fe: FrontEnd, antenna: int, component: int, step: float) 
 def finite_difference_worst_error(inputs: CrlbInputs, n: int, m: int, step: float = 1e-6) -> float:
     """Worst relative mismatch of the analytic pair derivatives vs central differences.
 
-    Components belonging to the reference antenna are skipped: they are not
-    part of the estimated parameter vector (the reference gains are pinned),
-    and perturbing them would break the unit-reference invariant.
+    The analytic side is the derivative stack the bound itself assembles
+    (:func:`recical.crlb.pair_derivatives`); the numeric side differentiates
+    the scalar :func:`recical.crlb.pair_statistics`.  Components belonging
+    to the reference antenna are skipped: they are not part of the estimated
+    parameter vector (the reference gains are pinned), and perturbing them
+    would break the unit-reference invariant.
     """
-    dmu, dcov = pair_statistics_derivatives(inputs, n, m)
+    _, dv, dcov = pair_derivatives(inputs, np.array([n]), np.array([m]))
+    dmu, dcov = inputs.coupling_mean[n, m] * dv[0], dcov[0]
     worst = 0.0
     for local, (antenna, component) in enumerate(
         [(n, 0), (n, 1), (n, 2), (n, 3), (m, 0), (m, 1), (m, 2), (m, 3)]

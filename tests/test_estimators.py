@@ -133,9 +133,15 @@ class TestGmm:
             gmm_estimate(data, ref=0)
 
     def test_ref_required_for_ref_one(self, coupling):
+        # ref-one needs a reference; both constraints reject one outside 0..M-1
         data, _ = make_data(1, 3, coupling, 1e-6, seed=8)
-        with pytest.raises(ValueError):
-            gmm_estimate(data, ref=None)
+        cases = [("ref-one", None), ("ref-one", -1), ("ref-one", 3), ("unit-norm", -1), ("unit-norm", 3)]
+        for constraint, ref in cases:
+            with pytest.raises(ValueError, match="reference index"):
+                gmm_estimate(data, constraint=constraint, ref=ref)
+        # em_calibrate's default init is the unit-norm GMM at settings.ref
+        with pytest.raises(ValueError, match="reference index"):
+            em_calibrate(data, EmSettings(ref=-1))
 
     def test_unknown_constraint_rejected(self, coupling):
         data, _ = make_data(1, 3, coupling, 1e-6, seed=8)

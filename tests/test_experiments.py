@@ -70,6 +70,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown capacity variants"):
             config_from_dict({"experiment": "capacity", "capacity": {"variants": ["dirty-paper"]}})
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"array": {"rows": "4"}}, "array.rows"),
+            ({"array": {"rows": 4.0}}, "array.rows"),
+            ({"seed": None}, "seed"),
+            ({"trials": 2.5}, "trials"),
+            ({"workers": True}, "workers"),
+            ({"experiment": 5}, "experiment"),
+            ({"estimator": {"epsilon_grid": 0.1}}, "estimator.epsilon_grid"),
+            ({"estimator": {"epsilon_grid": [0.1, "1"]}}, "estimator.epsilon_grid"),
+            ({"estimator": {"max_iter": 2.0}}, "estimator.max_iter"),
+            ({"capacity": {"variants": "gmm"}}, "capacity.variants"),
+            ({"capacity": {"reciprocal_users": 1}}, "capacity.reciprocal_users"),
+            ({"coupling": {"sigma2_db": None}}, "coupling.sigma2_db"),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, payload, field):
+        with pytest.raises(ConfigError, match=rf"^{field} must be "):
+            config_from_dict(payload)
+
+    def test_json_types_that_fit_accepted(self):
+        cfg = config_from_dict(
+            {"array": {"spacing": 1}, "estimator": {"max_iter": None, "epsilon_grid": [0, 0.5]},
+             "capacity": {"reciprocal_users": False}}
+        )
+        assert cfg.array.spacing == 1 and cfg.estimator.max_iter is None
+
 
 class TestRunners:
     def test_mse_sweep_outputs_and_manifest(self, tmp_path):
@@ -94,13 +122,21 @@ class TestRunners:
         assert (tmp_path / "a" / "mse_sweep.csv").read_bytes() == (tmp_path / "b" / "mse_sweep.csv").read_bytes()
 
     def test_worker_pool_matches_serial_bytes(self, tmp_path):
-        serial = tiny_mse_config(tmp_path / "serial", trials=6)
-        pooled = tiny_mse_config(tmp_path / "pooled", trials=6, workers=2)
-        run_experiment(serial)
-        run_experiment(pooled)
-        assert (tmp_path / "serial" / "mse_sweep.csv").read_bytes() == (
-            tmp_path / "pooled" / "mse_sweep.csv"
-        ).read_bytes()
+        # every runner that maps trials over the pool, one tiny config each
+        runs = {
+            "mse-sweep": {"trials": 6, "mse_sweep": {"n0_grid_db": [-80.0, -40.0], "antennas": [1, 39]}},
+            "convergence": {"trials": 4, "estimator": {"epsilon_grid": [0.0, 0.1]},
+                            "convergence": {"track_iterations": 6}},
+            "capacity": {"trials": 4, "array": {"rows": 2, "cols": 10, "ref": 3}, "capacity": {"n_users": 4}},
+        }
+        for experiment, overrides in runs.items():
+            outputs = []
+            for workers in (1, 2):
+                out = tmp_path / f"{experiment}-{workers}"
+                payload = {"experiment": experiment, "seed": 11, "workers": workers, "out_dir": str(out)}
+                manifest = run_experiment(config_from_dict({**payload, **overrides}))
+                outputs.append({name: (out / name).read_bytes() for name in manifest.outputs})
+            assert outputs[0] == outputs[1], experiment
 
     def test_different_seeds_differ(self, tmp_path):
         run_experiment(tiny_mse_config(tmp_path / "s1", seed=1))
@@ -216,6 +252,15 @@ class TestCli:
         payload = json.loads(result.stderr)
         assert payload["type"] == "ConfigError"
         assert "trials" in payload["error"]
+
+    def test_wrong_json_type_gives_error_json(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"array": {"rows": "4"}}))
+        result = self.run_cli("mse-sweep", "--config", str(cfg))
+        assert result.returncode == 1
+        payload = json.loads(result.stderr)
+        assert payload["type"] == "ConfigError"
+        assert "array.rows" in payload["error"]
 
     def test_unknown_experiment_rejected(self):
         result = self.run_cli("urban-macro")

@@ -103,6 +103,24 @@ class TestCouplingGain:
         with pytest.raises(ValueError):
             CouplingModel(-10.0, -20.0, -10.0, -25.0, -1e-9)
 
+    @pytest.mark.parametrize("rows, cols, spacing", [(2, 3, 0.5), (3, 4, 0.25)])
+    def test_magnitudes_match_pairwise_gain(self, rows, cols, spacing):
+        model = CouplingModel(-10.0, -12.0, -11.0, -15.0, 0.0)
+        geom = build_geometry(rows, cols, spacing)
+        M = geom.n_antennas
+        gain_db = np.full((M, M), np.nan)
+        pols = set()
+        for m in range(M):
+            for n in range(M):
+                if m != n:
+                    dist, pol = pair_distance_polarization(geom, m, n)
+                    gain_db[m, n] = coupling_gain_db(model, dist, pol)
+                    pols.add(pol)
+        assert pols == {"co", "cross"}
+        # raised to linear scale as one array, like coupling_magnitudes: numpy's
+        # vectorised power can differ from the scalar one in the last ulp
+        assert np.array_equal(coupling_magnitudes(geom, model), 10 ** (gain_db / 20), equal_nan=True)
+
 
 class TestDrawChannel:
     @pytest.mark.parametrize("seed", [0, 1, 2, 99, 2**31])
