@@ -286,11 +286,27 @@ def _matches(value: Any, hint: Any) -> bool:
     return isinstance(value, allowed) and (hint is bool or not isinstance(value, bool))
 
 
-def _check_types(prefix: str, cls, values: dict[str, Any]) -> None:
+def _widen(value: Any, hint: Any) -> Any:
+    """A value that fits ``hint``, with JSON integers in float positions made floats."""
+    if get_origin(hint) is list:
+        return [_widen(v, get_args(hint)[0]) for v in value]
+    return float(value) if hint is float else value
+
+
+def _typed(prefix: str, cls, values: dict[str, Any]) -> dict[str, Any]:
+    """Check ``values`` against the field annotations of ``cls`` and widen ints to float.
+
+    The widening makes ``-60`` and ``-60.0`` configure the same run, down to
+    the bytes of the CSVs and of the manifest's config echo.
+    """
     hints = get_type_hints(cls)
+    typed = dict(values)
     for f in fields(cls):
-        if f.name in values and not _matches(values[f.name], hints[f.name]):
-            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {values[f.name]!r}")
+        if f.name in values:
+            if not _matches(values[f.name], hints[f.name]):
+                raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {values[f.name]!r}")
+            typed[f.name] = _widen(values[f.name], hints[f.name])
+    return typed
 
 
 def _build_section(name: str, cls, payload: Any):
@@ -300,8 +316,7 @@ def _build_section(name: str, cls, payload: Any):
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
-    _check_types(f"{name}.", cls, payload)
-    return cls(**payload)
+    return cls(**_typed(f"{name}.", cls, payload))
 
 
 def config_from_dict(payload: dict[str, Any]) -> ExperimentConfig:
@@ -318,8 +333,7 @@ def config_from_dict(payload: dict[str, Any]) -> ExperimentConfig:
             kwargs[key] = _build_section(key, _SECTION_TYPES[key], value)
         else:
             kwargs[key] = value
-    _check_types("", ExperimentConfig, kwargs)
-    cfg = ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(**_typed("", ExperimentConfig, kwargs))
     cfg.validate()
     return cfg
 

@@ -9,9 +9,12 @@ Fisher information invertible).  The observation of one unordered pair
     cov   = sigma2 * v v^H + noise_var * I,   v = [r_n t_m, r_m t_n]
 
 so the Fisher information is a sum of independent per-pair contributions,
-each touching at most eight parameter components.  The bound on each
-coefficient follows by transforming the inverse information through the
-Jacobian of c_m = t_m / r_m.
+each touching at most eight parameter components.  Each contribution has a
+closed form (:func:`pair_information_blocks`): S is 2x2, and every parameter
+moves a single entry of v, so the covariance term tr(S^-1 dS_i S^-1 dS_j)
+with dS_i = sigma2 (dv_i v^H + v dv_i^H) reduces to products of scalars.
+The bound on each coefficient follows by transforming the inverse
+information through the Jacobian of c_m = t_m / r_m.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ import scipy.linalg
 from .errors import IdentifiabilityError
 from .frontend import FrontEnd
 
-# local parameter order of the derivative stacks for one pair (n, m)
+# local parameter order of the information block of one pair (n, m)
 PAIR_PARAMS = ("re_t_n", "im_t_n", "re_r_n", "im_r_n", "re_t_m", "im_t_m", "re_r_m", "im_r_m")
+# entry of v = [r_n t_m, r_m t_n] that each complex gain t_n, r_n, t_m, r_m enters
+PAIR_CHANNELS = np.array([1, 0, 0, 1])
 
 _REF_GAIN_TOL = 1e-12
 
@@ -85,29 +90,22 @@ def pair_statistics(inputs: CrlbInputs, n: int, m: int) -> tuple[np.ndarray, np.
 
 def pair_derivatives(
     inputs: CrlbInputs, n_idx: np.ndarray, m_idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Analytic derivatives of the observations of the pairs (n_idx[p], m_idx[p]).
 
-    Returns ``(v, dv, dcov)`` with shapes (P, 2), (P, 8, 2) and (P, 8, 2, 2):
-    the gain vector v = [r_n t_m, r_m t_n] of each pair, its derivatives
-    ordered as in :data:`PAIR_PARAMS`, and the covariance derivatives
-    sigma2 (dv v^H + v dv^H).  The mean derivatives are hbar[n, m] * dv.
+    Returns ``(v, w)`` with shapes (2, P) and (4, P), pairs along the last
+    axis: the gain vector v = [r_n t_m, r_m t_n] of each pair, and the
+    derivative weights of its four complex gains t_n, r_n, t_m, r_m.  Gain k
+    enters only entry c_k = ``PAIR_CHANNELS[k]`` of v, so the derivative of
+    v by its real part is dv = w[k] e_{c_k} and by its imaginary part
+    1j * w[k] e_{c_k} (local order :data:`PAIR_PARAMS`).  The mean
+    derivatives are hbar[n, m] dv and the covariance derivatives
+    sigma2 (dv v^H + v dv^H).
     """
     t, r = inputs.frontend.tx, inputs.frontend.rx
-    v = np.stack([r[n_idx] * t[m_idx], r[m_idx] * t[n_idx]], axis=1)
-    dv = np.zeros((n_idx.size, 8, 2), dtype=complex)
-    dv[:, 0, 1] = r[m_idx]       # d b / d Re t_n
-    dv[:, 1, 1] = 1j * r[m_idx]
-    dv[:, 2, 0] = t[m_idx]       # d a / d Re r_n
-    dv[:, 3, 0] = 1j * t[m_idx]
-    dv[:, 4, 0] = r[n_idx]       # d a / d Re t_m
-    dv[:, 5, 0] = 1j * r[n_idx]
-    dv[:, 6, 1] = t[n_idx]       # d b / d Re r_m
-    dv[:, 7, 1] = 1j * t[n_idx]
-    dcov = inputs.sigma2 * (
-        np.einsum("pic,pd->picd", dv, v.conj()) + np.einsum("pc,pid->picd", v, dv.conj())
-    )
-    return v, dv, dcov
+    v = np.stack([r[n_idx] * t[m_idx], r[m_idx] * t[n_idx]])
+    w = np.stack([r[m_idx], t[m_idx], r[n_idx], t[n_idx]])
+    return v, w
 
 
 def _theta_slot(antenna: int, ref: int) -> int:
@@ -119,15 +117,27 @@ def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]
     """Every measured pair's 8x8 information block and its global indices.
 
     For every bidirectionally measured pair the complex Gaussian information
-    formula
 
-        I_ij = tr(S^-1 dS_i S^-1 dS_j) + 2 Re(dmu_i^H S^-1 dmu_j)
+        I_ij = tr(X dS_i X dS_j) + 2 Re(dmu_i^H X dmu_j),   X = S^-1,
 
-    is evaluated on the eight parameter components the pair touches, ordered
-    as in :data:`PAIR_PARAMS`.  Returns ``(blocks, gidx)`` with shapes
-    (P, 8, 8) and (P, 8): ``gidx`` maps each local component to its slot in
-    the stacked real parameter vector of dimension ``4 * (M - 1)``, and
-    components of the reference antenna to the scratch slot ``4 * (M - 1)``.
+    with dS_i = sigma2 (dv_i v^H + v dv_i^H) and dmu_i = hbar dv_i, is taken
+    in closed form.  With u = X v and the real q = v^H X v the trace expands
+    to 2 sigma2^2 (q Re(dv_i^H X dv_j) + Re((u^H dv_i)(u^H dv_j))), and each
+    dv_i = w_i e_{c_i} has a single nonzero entry (:func:`pair_derivatives`), so
+
+        I_ij = 2 (|hbar|^2 + sigma2^2 q) Re(conj(w_i) X[c_i, c_j] w_j)
+               + 2 sigma2^2 Re(z_i z_j),   z_i = w_i conj(u_{c_i}).
+
+    The imaginary-part weights are 1j times the real-part ones, so two 4x4
+    complex products per pair, A = 2 (|hbar|^2 + sigma2^2 q) conj(w_k)
+    X[c_k, c_l] w_l and B = 2 sigma2^2 z_k z_l, give the whole block:
+    (Re, Re) = Re(A + B), (Re, Im) = -Im(A + B), (Im, Re) = Im(A - B) and
+    (Im, Im) = Re(A - B).  Components are ordered as in :data:`PAIR_PARAMS`.
+
+    Returns ``(blocks, gidx)`` with shapes (P, 8, 8) and (P, 8): ``gidx``
+    maps each local component to its slot in the stacked real parameter
+    vector of dimension ``4 * (M - 1)``, and components of the reference
+    antenna to the scratch slot ``4 * (M - 1)``.
     """
     if inputs.noise_var <= 0:
         # the rank-one multipath term alone leaves the 2x2 covariance singular
@@ -141,28 +151,30 @@ def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]
         raise IdentifiabilityError("no bidirectionally measured pair; the information is empty")
 
     P = n_idx.size
-    v, dv, ds = pair_derivatives(inputs, n_idx, m_idx)
-    a, b = v[:, 0], v[:, 1]
+    v, w = pair_derivatives(inputs, n_idx, m_idx)
+    a2, b2 = np.abs(v) ** 2
     habs2 = np.abs(inputs.coupling_mean[n_idx, m_idx]) ** 2
 
+    # S = s2 v v^H + n0 I has det S = n0 g and S v = g v with g = n0 + s2 |v|^2;
+    # written this way nothing cancels when s2 |v|^2 >> n0
     s2, n0 = inputs.sigma2, inputs.noise_var
-    aa = s2 * np.abs(a) ** 2 + n0
-    bb = s2 * np.abs(b) ** 2 + n0
-    ab = s2 * a * b.conj()
-    det = aa * bb - np.abs(ab) ** 2
-    sinv = np.empty((P, 2, 2), dtype=complex)
-    sinv[:, 0, 0] = bb / det
-    sinv[:, 1, 1] = aa / det
-    sinv[:, 0, 1] = -ab / det
-    sinv[:, 1, 0] = -ab.conj() / det
+    gain = n0 + s2 * (a2 + b2)
+    det = n0 * gain
+    off = -s2 * v[0] * v[1].conj() / det
+    sinv = np.array([[(s2 * b2 + n0) / det, off], [off.conj(), (s2 * a2 + n0) / det]])
+    u = v / gain  # S^-1 v
+    q = (a2 + b2) / gain  # v^H S^-1 v
 
-    # mean term: 2 |hbar|^2 Re(dv_i^H S^-1 dv_j)
-    g = np.einsum("pic,pcd,pjd->pij", dv.conj(), sinv, dv)
-    fim_pair = 2.0 * habs2[:, None, None] * g.real
-
-    if s2 > 0:
-        tmat = np.einsum("pcd,pide->pice", sinv, ds)
-        fim_pair += np.einsum("picd,pjdc->pij", tmat, tmat).real
+    # pairs run along the last axis, so every product loops over P contiguously
+    chan = PAIR_CHANNELS
+    z = w * u[chan].conj()
+    a_kl = (2.0 * (habs2 + s2 * s2 * q) * w.conj())[:, None] * sinv[chan[:, None], chan] * w
+    b_kl = (2.0 * s2 * s2 * z)[:, None] * z
+    blocks = np.empty((4, 2, 4, 2, P))  # (k, Re/Im of gain k, l, Re/Im of gain l, pair)
+    blocks[:, 0, :, 0] = a_kl.real + b_kl.real
+    blocks[:, 0, :, 1] = -(a_kl.imag + b_kl.imag)
+    blocks[:, 1, :, 0] = a_kl.imag - b_kl.imag
+    blocks[:, 1, :, 1] = a_kl.real - b_kl.real
 
     dim = 4 * (M - 1)
     offsets = np.arange(4)
@@ -175,7 +187,7 @@ def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]
         ],
         axis=1,
     )
-    return fim_pair, gidx
+    return blocks.reshape(8, 8, P).transpose(2, 0, 1), gidx
 
 
 def fisher_information(inputs: CrlbInputs) -> np.ndarray:

@@ -220,6 +220,8 @@ def em_calibrate(
     _check_connected(pair_mask, None)
     M = data.n_antennas
     max_iter = settings.max_iter if settings.max_iter is not None else 50 * M
+    if settings.ref is not None and not 0 <= settings.ref < M:
+        raise ValueError(f"EM needs a reference index in 0..{M - 1}, got {settings.ref}")
 
     if isinstance(settings.init, np.ndarray):
         c = settings.init.astype(complex).copy()

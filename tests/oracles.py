@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from recical.crlb import CrlbInputs, pair_derivatives, pair_statistics
+from recical.crlb import PAIR_CHANNELS, CrlbInputs, pair_derivatives, pair_statistics
 from recical.estimators import moment_matrix
 from recical.frontend import FrontEnd
 from recical.sounding import SoundingData
@@ -23,15 +23,22 @@ def perturbed_frontend(fe: FrontEnd, antenna: int, component: int, step: float) 
 def finite_difference_worst_error(inputs: CrlbInputs, n: int, m: int, step: float = 1e-6) -> float:
     """Worst relative mismatch of the analytic pair derivatives vs central differences.
 
-    The analytic side is the derivative stack the bound itself assembles
-    (:func:`recical.crlb.pair_derivatives`); the numeric side differentiates
-    the scalar :func:`recical.crlb.pair_statistics`.  Components belonging
-    to the reference antenna are skipped: they are not part of the estimated
-    parameter vector (the reference gains are pinned), and perturbing them
-    would break the unit-reference invariant.
+    The analytic side is what the bound itself reads: the weights of
+    :func:`recical.crlb.pair_derivatives`, placed in the entry of v that
+    :data:`recical.crlb.PAIR_CHANNELS` names, give the mean derivatives
+    hbar dv and the covariance derivatives sigma2 (dv v^H + v dv^H); the
+    numeric side differentiates the scalar :func:`recical.crlb.pair_statistics`.
+    Components belonging to the reference antenna are skipped: they are not
+    part of the estimated parameter vector (the reference gains are pinned),
+    and perturbing them would break the unit-reference invariant.
     """
-    _, dv, dcov = pair_derivatives(inputs, np.array([n]), np.array([m]))
-    dmu, dcov = inputs.coupling_mean[n, m] * dv[0], dcov[0]
+    v, w = pair_derivatives(inputs, np.array([n]), np.array([m]))
+    v, w = v[:, 0], w[:, 0]
+    dv = np.zeros((8, 2), dtype=complex)
+    dv[0::2][np.arange(4), PAIR_CHANNELS] = w
+    dv[1::2][np.arange(4), PAIR_CHANNELS] = 1j * w
+    dmu = inputs.coupling_mean[n, m] * dv
+    dcov = inputs.sigma2 * (dv[:, :, None] * v.conj() + v[:, None] * dv.conj()[:, None, :])
     worst = 0.0
     for local, (antenna, component) in enumerate(
         [(n, 0), (n, 1), (n, 2), (n, 3), (m, 0), (m, 1), (m, 2), (m, 3)]
@@ -76,6 +83,52 @@ def random_crlb_instance(n_antennas: int, seed: int, sigma2: float = 1e-4, noise
     hbar = np.triu(mag * np.exp(2j * np.pi * phase), k=1)
     hbar = hbar + hbar.T
     return CrlbInputs(fe, hbar, sigma2, noise_var, full_mask(n_antennas))
+
+
+def pair_information_blocks_einsum(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair 8x8 information blocks and global indices, term by term.
+
+    The generic complex Gaussian information
+    tr(S^-1 dS_i S^-1 dS_j) + 2 Re(dmu_i^H S^-1 dmu_j), evaluated with
+    ``einsum`` over full (P, 8, 2) and (P, 8, 2, 2) derivative stacks built
+    here from the front-end, for comparison with the closed form of
+    :func:`recical.crlb.pair_information_blocks` (same shapes and order).
+    """
+    fe = inputs.frontend
+    M, ref = fe.n_antennas, fe.ref
+    n_idx, m_idx = np.nonzero(np.triu(inputs.mask & inputs.mask.T, k=1))
+    t, r = fe.tx, fe.rx
+    v = np.stack([r[n_idx] * t[m_idx], r[m_idx] * t[n_idx]], axis=1)
+    dv = np.zeros((n_idx.size, 8, 2), dtype=complex)
+    dv[:, 0, 1] = r[m_idx]       # d b / d Re t_n
+    dv[:, 1, 1] = 1j * r[m_idx]
+    dv[:, 2, 0] = t[m_idx]       # d a / d Re r_n
+    dv[:, 3, 0] = 1j * t[m_idx]
+    dv[:, 4, 0] = r[n_idx]       # d a / d Re t_m
+    dv[:, 5, 0] = 1j * r[n_idx]
+    dv[:, 6, 1] = t[n_idx]       # d b / d Re r_m
+    dv[:, 7, 1] = 1j * t[n_idx]
+    # extended precision, because the trace term cancels by about s2 |v|^2 / n0;
+    # det S written as aa bb - |ab|^2 would cancel as much, so it is n0 (n0 + s2 |v|^2)
+    v, dv = v.astype(np.clongdouble), dv.astype(np.clongdouble)
+    s2, n0 = np.longdouble(inputs.sigma2), np.longdouble(inputs.noise_var)
+    ds = s2 * (np.einsum("pic,pd->picd", dv, v.conj()) + np.einsum("pc,pid->picd", v, dv.conj()))
+    aa = s2 * np.abs(v[:, 0]) ** 2 + n0
+    bb = s2 * np.abs(v[:, 1]) ** 2 + n0
+    ab = s2 * v[:, 0] * v[:, 1].conj()
+    det = n0 * (n0 + s2 * (np.abs(v[:, 0]) ** 2 + np.abs(v[:, 1]) ** 2))
+    sinv = np.stack([np.stack([bb, -ab], axis=1), np.stack([-ab.conj(), aa], axis=1)], axis=1) / det[:, None, None]
+    habs2 = np.abs(inputs.coupling_mean[n_idx, m_idx]) ** 2
+    g = np.einsum("pic,pcd,pjd->pij", dv.conj(), sinv, dv)
+    tmat = np.einsum("pcd,pide->pice", sinv, ds)
+    blocks = 2 * habs2[:, None, None] * g.real + np.einsum("picd,pjdc->pij", tmat, tmat).real
+
+    dim = 4 * (M - 1)
+    slots = []
+    for antenna in (n_idx, m_idx):
+        first = 4 * (antenna - (antenna > ref))
+        slots.append(np.where(antenna[:, None] == ref, dim, first[:, None] + np.arange(4)))
+    return blocks.astype(float), np.concatenate(slots, axis=1)
 
 
 def scatter_add_at(blocks: np.ndarray, gidx: np.ndarray, dim: int) -> np.ndarray:

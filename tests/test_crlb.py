@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import finite_difference_worst_error, random_crlb_instance, scatter_add_at
+from oracles import (
+    finite_difference_worst_error,
+    pair_information_blocks_einsum,
+    random_crlb_instance,
+    scatter_add_at,
+)
 
 from recical.crlb import (
     CrlbInputs,
@@ -51,6 +56,24 @@ def crlb_cases(draw):
     noise_var = draw(st.sampled_from([1e-10, 1e-8, 1e-6, 1e-4, 1e-3]))
     seed = draw(st.integers(0, 2**32 - 1))
     return rows, cols, radius, ref, multipath, noise_var, seed
+
+
+@st.composite
+def block_cases(draw):
+    """A random front-end and coupling draw for the closed-form block check.
+
+    Full or radius masks, the reference at the first, middle or last antenna,
+    a multipath variance of zero, -60 or -40 dB, and noise from -100 to -30 dB.
+    """
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(2, 7))
+    m = rows * cols
+    radius = draw(st.sampled_from([None, 0.5, 0.75, 1.5]))
+    ref = draw(st.sampled_from([0, m // 2, m - 1]))
+    sigma2 = draw(st.sampled_from([0.0, 1e-6, 1e-4]))
+    noise_var = 10.0 ** (draw(st.integers(-100, -30)) / 10.0)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return rows, cols, radius, ref, sigma2, noise_var, seed
 
 
 class TestPairStatistics:
@@ -107,6 +130,17 @@ class TestFisherInformation:
         base = random_crlb_instance(4, seed=3, sigma2=0.0, noise_var=1e-3)
         doubled = CrlbInputs(base.frontend, base.coupling_mean, 0.0, 2e-3, base.mask)
         assert fisher_information(doubled) == pytest.approx(0.5 * fisher_information(base))
+
+    @given(block_cases())
+    def test_closed_form_blocks_match_einsum(self, coupling, case):
+        rows, cols, radius, ref, sigma2, noise_var, seed = case
+        base = crlb_instance(coupling, rows, cols, radius, ref, False, noise_var, seed)
+        inputs = CrlbInputs(base.frontend, base.coupling_mean, sigma2, noise_var, base.mask)
+        blocks, gidx = pair_information_blocks(inputs)
+        expected, expected_gidx = pair_information_blocks_einsum(inputs)
+        assert np.array_equal(gidx, expected_gidx)
+        scale = np.abs(expected).max(axis=(1, 2))
+        assert np.all(np.abs(blocks - expected).max(axis=(1, 2)) <= 1e-12 * scale)
 
     @given(crlb_cases())
     def test_bincount_scatter_matches_add_at(self, coupling, case):

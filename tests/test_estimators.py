@@ -139,9 +139,11 @@ class TestGmm:
         for constraint, ref in cases:
             with pytest.raises(ValueError, match="reference index"):
                 gmm_estimate(data, constraint=constraint, ref=ref)
-        # em_calibrate's default init is the unit-norm GMM at settings.ref
-        with pytest.raises(ValueError, match="reference index"):
-            em_calibrate(data, EmSettings(ref=-1))
+        # em_calibrate checks settings.ref whatever its initialisation
+        for init in ("gmm", np.ones(3, complex), "random"):
+            for ref in (-1, 3):
+                with pytest.raises(ValueError, match="reference index"):
+                    em_calibrate(data, EmSettings(init=init, ref=ref), rng=np.random.default_rng(0))
 
     def test_unknown_constraint_rejected(self, coupling):
         data, _ = make_data(1, 3, coupling, 1e-6, seed=8)

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,21 @@ def tiny_mse_config(out_dir, **overrides):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+# configs and CSVs of three bound-computing experiments, written by the
+# term-by-term einsum evaluation of the Fisher blocks; the closed form must
+# reproduce them
+GOLDEN_DIR = Path(__file__).parent / "golden"
+# relative tolerance of the columns that carry a bound; every other column
+# must match byte for byte
+GOLDEN_REL_TOL = {
+    "crlb_db": 1e-12,
+    "crlb_full_db": 1e-12,
+    "crlb_reduced_db": 1e-12,
+    "delta_db": 1e-12,
+    "fim_condition": 1e-9,
+}
 
 
 class TestConfig:
@@ -97,6 +114,9 @@ class TestConfig:
              "capacity": {"reciprocal_users": False}}
         )
         assert cfg.array.spacing == 1 and cfg.estimator.max_iter is None
+        # integers in float fields are widened, so they echo as floats
+        assert type(cfg.array.spacing) is float
+        assert [type(e) for e in cfg.estimator.epsilon_grid] == [float, float]
 
 
 class TestRunners:
@@ -137,6 +157,23 @@ class TestRunners:
                 manifest = run_experiment(config_from_dict({**payload, **overrides}))
                 outputs.append({name: (out / name).read_bytes() for name in manifest.outputs})
             assert outputs[0] == outputs[1], experiment
+
+    @pytest.mark.parametrize("experiment", ["crlb-map", "reduced-set", "mse-sweep"])
+    def test_matches_golden_csv(self, tmp_path, experiment):
+        golden = GOLDEN_DIR / experiment
+        payload = json.loads((golden / "config.json").read_text())
+        manifest = run_experiment(config_from_dict({**payload, "out_dir": str(tmp_path)}))
+        assert manifest.outputs == sorted(p.name for p in golden.glob("*.csv"))
+        for name in manifest.outputs:
+            expected, got = read_csv(golden / name), read_csv(tmp_path / name)
+            assert len(got) == len(expected) and list(got[0]) == list(expected[0]), name
+            for row, (want, have) in enumerate(zip(expected, got)):
+                for column, text in want.items():
+                    rel = GOLDEN_REL_TOL.get(column)
+                    if rel is None:
+                        assert have[column] == text, (name, row, column)
+                    else:
+                        assert math.isclose(float(have[column]), float(text), rel_tol=rel), (name, row, column)
 
     def test_different_seeds_differ(self, tmp_path):
         run_experiment(tiny_mse_config(tmp_path / "s1", seed=1))
@@ -261,6 +298,21 @@ class TestCli:
         payload = json.loads(result.stderr)
         assert payload["type"] == "ConfigError"
         assert "array.rows" in payload["error"]
+
+    def test_integer_and_float_json_write_same_bytes(self, tmp_path):
+        # -60 and -60.0 configure the same run: same CSV bytes, same config echo
+        out = tmp_path / "out"
+        outputs = []
+        for grid in ([-60], [-60.0]):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(
+                {"experiment": "crlb-map", "array": {"rows": 2, "cols": 5, "ref": 3}, "crlb_map": {"n0_grid_db": grid}}
+            ))
+            result = self.run_cli("crlb-map", "--config", str(cfg), "--out", str(out))
+            assert result.returncode == 0, result.stderr
+            echo = json.loads((out / "manifest.json").read_text())["config"]
+            outputs.append(((out / "crlb_map.csv").read_bytes(), json.dumps(echo, sort_keys=True)))
+        assert outputs[0] == outputs[1]
 
     def test_unknown_experiment_rejected(self):
         result = self.run_cli("urban-macro")
