@@ -32,8 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config is not None:
-            config = load_config(args.config)
-            config.experiment = args.experiment
+            config = load_config(args.config, experiment=args.experiment)
         else:
             config = default_config(args.experiment)
         if args.seed is not None:

@@ -338,12 +338,14 @@ def config_from_dict(payload: dict[str, Any]) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Load and validate a JSON configuration file."""
+def load_config(path: str | Path, experiment: str | None = None) -> ExperimentConfig:
+    """Load and validate a JSON configuration file; ``experiment`` replaces the one it names."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if experiment is not None and isinstance(payload, dict):
+        payload = {**payload, "experiment": experiment}
     return config_from_dict(payload)
 
 

@@ -1,12 +1,18 @@
 """Monte-Carlo experiment runners with reproducible seeding and CSV output.
 
 Every experiment derives one stream per trial from the triple
-(master seed, experiment id, trial index) and a separate shared stream from
-(master seed, experiment id) for draws held fixed across trials (coupling
-phases, random front-ends, wideband kernel parameters).  Trials never share
-or reuse streams, results are reduced in trial order, and floats are written
-with shortest round-trip formatting, so a fixed seed gives byte-identical
-CSV files no matter how many workers run.
+(master seed, experiment id, trial index) and a shared stream from
+(master seed, experiment id) for the draws held fixed across trials
+(coupling phases, wideband kernel parameters).  A random front-end draws
+from its own child of the shared sequence, so it never reuses the coupling
+or kernel draws.
+
+A run opens at most one worker pool.  Every independent unit of work is one
+task mapped over it: a (noise point, trial) pair in mse-sweep, an
+(epsilon, trial) pair in convergence, a trial in capacity and a realization
+in wideband.  Results are reduced in task order and floats are written with
+shortest round-trip formatting, so a fixed seed gives byte-identical CSV
+files no matter how many workers run.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .sounding import sound
 from .wideband import (
     OfdmGrid,
     WidebandParams,
+    WidebandTruth,
     ks_gaussianity,
     pca,
     per_subcarrier_estimate,
@@ -47,7 +54,10 @@ EXPERIMENT_IDS = {
     "reduced-set": 6,
 }
 
-SEED_SCHEME = "numpy SeedSequence((master_seed, experiment_id, trial)); shared draws use (master_seed, experiment_id)"
+SEED_SCHEME = (
+    "numpy SeedSequence((master_seed, experiment_id, trial)); coupling phases and the wideband kernel use "
+    "(master_seed, experiment_id); a random front-end uses SeedSequence((master_seed, experiment_id), spawn_key=(0,))"
+)
 
 
 def trial_rng(master_seed: int, experiment: str, trial: int) -> np.random.Generator:
@@ -56,8 +66,20 @@ def trial_rng(master_seed: int, experiment: str, trial: int) -> np.random.Genera
 
 
 def shared_rng(master_seed: int, experiment: str) -> np.random.Generator:
-    """Stream for draws held fixed across all trials of one experiment."""
+    """Stream for the coupling phases or wideband kernel, held fixed across all trials."""
     return np.random.default_rng(np.random.SeedSequence((master_seed, EXPERIMENT_IDS[experiment])))
+
+
+def frontend_rng(master_seed: int, experiment: str) -> np.random.Generator:
+    """Stream for a random front-end: a child of the shared sequence.
+
+    The spawn key is appended after the entropy padded to the pool size, so
+    the child's assembled entropy equals that of no
+    (master_seed, experiment_id, trial) sequence: it is clear of every trial
+    and of the shared stream.
+    """
+    seq = np.random.SeedSequence((master_seed, EXPERIMENT_IDS[experiment]), spawn_key=(0,))
+    return np.random.default_rng(seq)
 
 
 @dataclass
@@ -113,7 +135,7 @@ def build_setup(config: ExperimentConfig) -> tuple[ArrayGeometry, CouplingModel,
             geom.n_antennas,
             arr.ref_index,
             config.frontend.spread,
-            shared_rng(config.seed, config.experiment),
+            frontend_rng(config.seed, config.experiment),
         )
     return geom, model, fe
 
@@ -134,7 +156,7 @@ def _db(x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # worker-pool plumbing: the context is installed once per worker process and
-# trials are mapped in index order so the reduction is schedule-independent
+# tasks are mapped in order so the reduction is schedule-independent
 
 _CTX = None
 
@@ -144,35 +166,45 @@ def _init_worker(ctx) -> None:
     _CTX = ctx
 
 
-def _run_trials(worker, ctx, trials: int, workers: int) -> list:
+def _run_trials(worker, ctx, tasks: list, workers: int) -> list:
+    """``worker`` over ``tasks`` in order: here, or in the run's one pool of at most ``len(tasks)`` workers."""
+    workers = min(workers, len(tasks))
     if workers <= 1:
         global _CTX
         _CTX = ctx
-        return [worker(t) for t in range(trials)]
+        return [worker(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,)) as ex:
-        chunk = max(1, trials // (8 * workers))
-        return list(ex.map(worker, range(trials), chunksize=chunk))
+        chunk = max(1, len(tasks) // (8 * workers))
+        return list(ex.map(worker, tasks, chunksize=chunk))
 
 
 @dataclass
 class _TrialContext:
-    """What the trials of one pass share; ``point`` is N0 (mse-sweep) or epsilon (convergence)."""
+    """What every task of one run shares; ``truths`` holds the wideband realizations."""
 
     config: ExperimentConfig
     geometry: ArrayGeometry
     model: CouplingModel
     frontend: FrontEnd
-    coupling_mean: np.ndarray
-    point: float | None = None
+    coupling_mean: np.ndarray | None = None
+    truths: list[WidebandTruth] | None = None
 
 
-def _mse_trial(t: int):
+def _context(config: ExperimentConfig) -> _TrialContext:
+    """The set-up, built once per run, with the coupling mean drawn from the shared stream."""
+    geom, model, fe = build_setup(config)
+    hbar = draw_coupling(geom, model, shared_rng(config.seed, config.experiment))
+    return _TrialContext(config, geom, model, fe, hbar)
+
+
+def _mse_trial(task: tuple[float, int]):
+    n0, t = task
     ctx = _CTX
     config = ctx.config
     fe = ctx.frontend
     rng = trial_rng(config.seed, "mse-sweep", t)
     h = draw_channel(ctx.geometry, ctx.model, rng, coupling=ctx.coupling_mean)
-    data = sound(h, fe, ctx.point, rng)
+    data = sound(h, fe, n0, rng)
     gmm = gmm_estimate(data, config.estimator.gmm_constraint, ref=fe.ref)
     em = em_calibrate(data, _em_settings(config))
     return gmm.c_hat, em.c_hat
@@ -180,21 +212,26 @@ def _mse_trial(t: int):
 
 def run_mse_sweep(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Per-antenna MSE of both estimators against the bound over a noise grid."""
-    geom, model, fe = build_setup(config)
+    ctx = _context(config)
+    geom, fe, hbar, sigma2 = ctx.geometry, ctx.frontend, ctx.coupling_mean, ctx.model.sigma2
     c_true = true_coefficients(fe)
     ref = fe.ref
-    hbar = draw_coupling(geom, model, shared_rng(config.seed, "mse-sweep"))
     mask = full_mask(geom.n_antennas)
     rmask = reduced_mask(geom, config.mse_sweep.reduced_radius)
     antennas = [a - 1 for a in config.mse_sweep.antennas]
+    n0s = [db_to_linear(n0_db) for n0_db in config.mse_sweep.n0_grid_db]
+    # bounds before trials: their large temporaries raise glibc's dynamic
+    # mmap threshold, which keeps the trials' M x M temporaries off fresh
+    # mmap pages, in the pool's forked workers too (trials first took 6x the
+    # minor page faults and 7% longer at M=100)
+    bounds = [[crlb_coefficients(CrlbInputs(fe, hbar, sigma2, n0, m)).bound for m in (mask, rmask)] for n0 in n0s]
+    trials = config.trials
+    tasks = [(n0, t) for n0 in n0s for t in range(trials)]
+    all_results = _run_trials(_mse_trial, ctx, tasks, config.workers)
 
     rows = []
-    for n0_db in config.mse_sweep.n0_grid_db:
-        n0 = db_to_linear(n0_db)
-        bound = crlb_coefficients(CrlbInputs(fe, hbar, model.sigma2, n0, mask)).bound
-        bound_r = crlb_coefficients(CrlbInputs(fe, hbar, model.sigma2, n0, rmask)).bound
-        ctx = _TrialContext(config, geom, model, fe, hbar, n0)
-        results = _run_trials(_mse_trial, ctx, config.trials, config.workers)
+    for i, (n0_db, (bound, bound_r)) in enumerate(zip(config.mse_sweep.n0_grid_db, bounds)):
+        results = all_results[i * trials : (i + 1) * trials]
         gmm_estimates = [CalibrationEstimate(g, "gmm", "", ref=ref) for g, _ in results]
         em_estimates = [CalibrationEstimate(e, "em", "", ref=ref) for _, e in results]
         score_g = score_mse(gmm_estimates, c_true, ref)
@@ -217,13 +254,14 @@ def run_mse_sweep(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     return [path]
 
 
-def _convergence_trial(t: int):
+def _convergence_trial(task: tuple[float, int]):
+    eps, t = task
     ctx = _CTX
     config = ctx.config
     rng = trial_rng(config.seed, "convergence", t)
     h = draw_channel(ctx.geometry, ctx.model, rng, coupling=ctx.coupling_mean)
     data = sound(h, ctx.frontend, db_to_linear(config.convergence.n0_db), rng)
-    settings = _em_settings(config, epsilon=ctx.point)
+    settings = _em_settings(config, epsilon=eps)
     settings.keep_history = True
     est = em_calibrate(data, settings)
     return est.c_hat, est.history.coefficients, est.history.deltas, est.iterations, est.converged
@@ -231,17 +269,18 @@ def _convergence_trial(t: int):
 
 def run_convergence(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Per-iteration MSE and step size of the EM run for each regularization."""
-    geom, model, fe = build_setup(config)
-    c_true = true_coefficients(fe)
-    ref = fe.ref
-    hbar = draw_coupling(geom, model, shared_rng(config.seed, "convergence"))
-    others = np.arange(geom.n_antennas) != ref
+    ctx = _context(config)
+    c_true = true_coefficients(ctx.frontend)
+    ref = ctx.frontend.ref
+    others = np.arange(ctx.geometry.n_antennas) != ref
     track = config.convergence.track_iterations
+    trials = config.trials
+    tasks = [(eps, t) for eps in config.estimator.epsilon_grid for t in range(trials)]
+    all_results = _run_trials(_convergence_trial, ctx, tasks, config.workers)
 
     rows = []
-    for eps in config.estimator.epsilon_grid:
-        ctx = _TrialContext(config, geom, model, fe, hbar, eps)
-        results = _run_trials(_convergence_trial, ctx, config.trials, config.workers)
+    for i, eps in enumerate(config.estimator.epsilon_grid):
+        results = all_results[i * trials : (i + 1) * trials]
         mse_acc = np.zeros(track)
         delta_acc = np.zeros(track)
         for _, coeffs, deltas, _, _ in results:
@@ -286,10 +325,7 @@ def _capacity_trial(t: int):
 
 def run_capacity(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Sum-rate samples per calibration variant and precoder."""
-    geom, model, fe = build_setup(config)
-    hbar = draw_coupling(geom, model, shared_rng(config.seed, "capacity"))
-    ctx = _TrialContext(config, geom, model, fe, hbar)
-    results = _run_trials(_capacity_trial, ctx, config.trials, config.workers)
+    results = _run_trials(_capacity_trial, _context(config), list(range(config.trials)), config.workers)
     rows = []
     for variant in config.capacity.variants:
         for precoder in ("zf", "mrt"):
@@ -300,6 +336,16 @@ def run_capacity(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     return [path]
 
 
+def _wideband_realization(r: int) -> np.ndarray:
+    ctx = _CTX
+    config = ctx.config
+    n0 = db_to_linear(config.wideband.n0_db)
+    rng = trial_rng(config.seed, "wideband", r)
+    return per_subcarrier_estimate(
+        ctx.truths[r], ctx.geometry, ctx.model, n0, ctx.frontend.ref, rng, em_settings=_em_settings(config)
+    )
+
+
 def run_wideband(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Subcarrier-process study: PCA spectra, kernel fits, residual KS tests."""
     geom, model, fe = build_setup(config)
@@ -307,15 +353,9 @@ def run_wideband(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     wb = config.wideband
     grid = OfdmGrid(wb.carrier_hz, wb.sample_rate_hz, wb.n_fft, wb.n_subcarriers)
     params = WidebandParams(tuple(wb.offset_range), wb.mag_slope_max, wb.phase_slope_max)
-    srng = shared_rng(config.seed, "wideband")
-    truths = synth_wideband(geom.n_antennas, grid, params, wb.realizations, srng)
-    n0 = db_to_linear(wb.n0_db)
-    estimates = np.empty((wb.realizations, geom.n_antennas, wb.n_subcarriers), dtype=complex)
-    for r, truth in enumerate(truths):
-        rng = trial_rng(config.seed, "wideband", r)
-        estimates[r] = per_subcarrier_estimate(
-            truth, geom, model, n0, ref, rng, em_settings=_em_settings(config)
-        )
+    truths = synth_wideband(geom.n_antennas, grid, params, wb.realizations, shared_rng(config.seed, "wideband"))
+    ctx = _TrialContext(config, geom, model, fe, truths=truths)
+    estimates = np.stack(_run_trials(_wideband_realization, ctx, list(range(wb.realizations)), config.workers))
 
     spectra_rows = []
     for m, res in enumerate(pca(estimates)):
@@ -347,12 +387,12 @@ def run_wideband(config: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 def run_crlb_map(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Per-antenna bound across the noise grid (full measurement set)."""
-    geom, model, fe = build_setup(config)
-    hbar = draw_coupling(geom, model, shared_rng(config.seed, "crlb-map"))
+    ctx = _context(config)
+    geom, fe, hbar, sigma2 = ctx.geometry, ctx.frontend, ctx.coupling_mean, ctx.model.sigma2
     mask = full_mask(geom.n_antennas)
     rows = []
     for n0_db in config.crlb_map.n0_grid_db:
-        report = crlb_coefficients(CrlbInputs(fe, hbar, model.sigma2, db_to_linear(n0_db), mask))
+        report = crlb_coefficients(CrlbInputs(fe, hbar, sigma2, db_to_linear(n0_db), mask))
         for m in range(geom.n_antennas):
             if m == fe.ref:
                 continue
@@ -364,12 +404,12 @@ def run_crlb_map(config: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 def run_reduced_set(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Bound inflation when only short-range pairs are measured."""
-    geom, model, fe = build_setup(config)
-    hbar = draw_coupling(geom, model, shared_rng(config.seed, "reduced-set"))
+    ctx = _context(config)
+    geom, fe, hbar, sigma2 = ctx.geometry, ctx.frontend, ctx.coupling_mean, ctx.model.sigma2
     n0 = db_to_linear(config.reduced_set.n0_db)
-    full = crlb_coefficients(CrlbInputs(fe, hbar, model.sigma2, n0, full_mask(geom.n_antennas))).bound
+    full = crlb_coefficients(CrlbInputs(fe, hbar, sigma2, n0, full_mask(geom.n_antennas))).bound
     reduced = crlb_coefficients(
-        CrlbInputs(fe, hbar, model.sigma2, n0, reduced_mask(geom, config.reduced_set.radius))
+        CrlbInputs(fe, hbar, sigma2, n0, reduced_mask(geom, config.reduced_set.radius))
     ).bound
     rows = []
     for m in range(geom.n_antennas):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+from scipy.special import ndtr
 
 from .errors import AliasingError
 from .estimators import EmSettings, em_calibrate
@@ -273,7 +273,7 @@ def ks_gaussianity(samples: np.ndarray, alpha: float = 0.05) -> KsTest:
     scale = float(np.sqrt(np.mean(samples**2)))
     if scale == 0:
         raise ValueError("degenerate (all-zero) sample; the model variance vanishes")
-    model = scipy.stats.norm.cdf(np.sort(samples), loc=0.0, scale=scale)
+    model = ndtr(np.sort(samples) / scale)
     grid = np.arange(1, n + 1) / n
     statistic = float(np.max(np.maximum(grid - model, model - (grid - 1.0 / n))))
     critical = float(np.sqrt(-0.5 * np.log(alpha / 2.0)) / np.sqrt(n))

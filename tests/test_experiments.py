@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from recical import experiments
 from recical.config import ConfigError, config_from_dict, default_config, load_config
 from recical.experiments import run_experiment
 
@@ -23,6 +25,12 @@ def tiny_mse_config(out_dir, **overrides):
     }
     payload.update(overrides)
     return config_from_dict(payload)
+
+
+TINY_ARRAY = {"rows": 2, "cols": 5, "ref": 3}
+# a wideband run small enough to repeat: 10 antennas, 50 subcarriers (the KS
+# test's minimum), three realizations
+TINY_WIDEBAND = {"array": TINY_ARRAY, "wideband": {"n_subcarriers": 50, "realizations": 3}}
 
 
 def read_csv(path):
@@ -142,12 +150,13 @@ class TestRunners:
         assert (tmp_path / "a" / "mse_sweep.csv").read_bytes() == (tmp_path / "b" / "mse_sweep.csv").read_bytes()
 
     def test_worker_pool_matches_serial_bytes(self, tmp_path):
-        # every runner that maps trials over the pool, one tiny config each
+        # every runner that maps tasks over the pool, one tiny config each
         runs = {
             "mse-sweep": {"trials": 6, "mse_sweep": {"n0_grid_db": [-80.0, -40.0], "antennas": [1, 39]}},
             "convergence": {"trials": 4, "estimator": {"epsilon_grid": [0.0, 0.1]},
                             "convergence": {"track_iterations": 6}},
             "capacity": {"trials": 4, "array": {"rows": 2, "cols": 10, "ref": 3}, "capacity": {"n_users": 4}},
+            "wideband": TINY_WIDEBAND,
         }
         for experiment, overrides in runs.items():
             outputs = []
@@ -157,6 +166,33 @@ class TestRunners:
                 manifest = run_experiment(config_from_dict({**payload, **overrides}))
                 outputs.append({name: (out / name).read_bytes() for name in manifest.outputs})
             assert outputs[0] == outputs[1], experiment
+
+    def test_one_pool_per_run(self, tmp_path, monkeypatch):
+        # every (point, trial) task and every realization goes through the
+        # run's one pool, which never has more workers than tasks
+        opened = []
+
+        class CountingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        # overrides and the task count of each run
+        runs = {
+            "mse-sweep": ({"trials": 2, "array": TINY_ARRAY,
+                           "mse_sweep": {"n0_grid_db": [-80.0, -40.0], "antennas": [1, 2]}}, 4),
+            "convergence": ({"trials": 2, "array": TINY_ARRAY, "estimator": {"epsilon_grid": [0.0, 0.1]},
+                             "convergence": {"track_iterations": 3}}, 4),
+            "wideband": (TINY_WIDEBAND, 3),
+        }
+        for experiment, (overrides, tasks) in runs.items():
+            for workers in (1, 2, 4):
+                opened.clear()
+                payload = {"experiment": experiment, "seed": 3, "workers": workers,
+                           "out_dir": str(tmp_path / f"{experiment}-{workers}")}
+                run_experiment(config_from_dict({**payload, **overrides}))
+                assert opened == ([] if workers == 1 else [min(workers, tasks)]), (experiment, workers)
 
     @pytest.mark.parametrize("experiment", ["crlb-map", "reduced-set", "mse-sweep"])
     def test_matches_golden_csv(self, tmp_path, experiment):
@@ -253,6 +289,64 @@ class TestRunners:
             assert float(r["delta_db"]) >= -1e-9
 
 
+class TestSeeding:
+    def test_random_frontend_shares_no_draw(self, tmp_path, monkeypatch):
+        """The random front-end's stream overlaps no other stream of its run.
+
+        Every generator handed to the front-end, the coupling draw, the
+        wideband kernel and the trials is recorded as it starts; the first
+        draws of the front-end's stream must appear in none of the others.
+        """
+        starts = {}
+
+        def record(role, rng):
+            starts.setdefault(role, []).append(dict(rng.bit_generator.state))
+
+        def takes_rng(role, fn, position):
+            def wrapper(*args, **kwargs):
+                record(role, args[position])  # before the call draws from it
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def makes_rng(fn):
+            def wrapper(*args):
+                rng = fn(*args)
+                record("trials", rng)
+                return rng
+            return wrapper
+
+        monkeypatch.setattr(experiments, "random_frontend", takes_rng("frontend", experiments.random_frontend, 3))
+        monkeypatch.setattr(experiments, "draw_coupling", takes_rng("coupling", experiments.draw_coupling, 2))
+        monkeypatch.setattr(experiments, "synth_wideband", takes_rng("kernel", experiments.synth_wideband, 4))
+        monkeypatch.setattr(experiments, "trial_rng", makes_rng(experiments.trial_rng))
+
+        def first_draws(state, n=2048):
+            bits = np.random.PCG64()
+            bits.state = state
+            return set(bits.random_raw(n).tolist())
+
+        runs = {
+            "mse-sweep": {"trials": 2, "mse_sweep": {"n0_grid_db": [-60.0], "antennas": [1, 2]}},
+            "convergence": {"trials": 2, "estimator": {"epsilon_grid": [0.1]}, "convergence": {"track_iterations": 3}},
+            "capacity": {"trials": 2, "capacity": {"n_users": 2}},
+            "wideband": {"wideband": {"n_subcarriers": 50, "realizations": 2}},
+            "crlb-map": {"crlb_map": {"n0_grid_db": [-60.0]}},
+            "reduced-set": {},
+        }
+        for seed in (0, 5, 77):
+            for experiment, overrides in runs.items():
+                starts.clear()
+                payload = {"experiment": experiment, "seed": seed, "array": TINY_ARRAY,
+                           "frontend": {"kind": "random"}, "out_dir": str(tmp_path / experiment)}
+                run_experiment(config_from_dict({**payload, **overrides}))
+                (frontend,) = starts.pop("frontend")
+                assert starts, experiment
+                drawn = first_draws(frontend)
+                for role, states in starts.items():
+                    for state in states:
+                        assert not drawn & first_draws(state), (seed, experiment, role)
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run(
@@ -313,6 +407,16 @@ class TestCli:
             echo = json.loads((out / "manifest.json").read_text())["config"]
             outputs.append(((out / "crlb_map.csv").read_bytes(), json.dumps(echo, sort_keys=True)))
         assert outputs[0] == outputs[1]
+
+    def test_positional_experiment_validates_the_file(self, tmp_path):
+        # the file names no experiment; it must be checked as crlb-map, which
+        # tracks no antenna, not as the default mse-sweep
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"array": {"rows": 2, "cols": 5, "ref": 3}}))
+        out = tmp_path / "out"
+        result = self.run_cli("crlb-map", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert json.loads((out / "manifest.json").read_text())["experiment"] == "crlb-map"
 
     def test_unknown_experiment_rejected(self):
         result = self.run_cli("urban-macro")
