@@ -43,9 +43,8 @@ def main(argv: list[str] | None = None) -> int:
             config.out_dir = args.out
         if args.workers is not None:
             config.workers = args.workers
-        config.validate()
         manifest = run_experiment(config)
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
         json.dump({"error": str(exc), "type": type(exc).__name__}, sys.stderr)
         sys.stderr.write("\n")
         return 1

@@ -12,20 +12,27 @@ from __future__ import annotations
 import json
 import math
 import types
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
-EXPERIMENTS = (
-    "mse-sweep",
-    "convergence",
-    "capacity",
-    "wideband",
-    "crlb-map",
-    "reduced-set",
-)
+from .downlink import VARIANTS
+from .estimators import REF_ONE, UNIT_NORM
+from .wideband import KS_MIN_SAMPLES
 
-CAPACITY_VARIANTS = ("uncalibrated", "gmm", "em", "perfect", "true-downlink-csi")
+# the ids are part of the seed contract: every random stream is derived from
+# (master seed, experiment id), so renumbering one changes all its outputs
+EXPERIMENT_IDS = {
+    "mse-sweep": 1,
+    "convergence": 2,
+    "capacity": 3,
+    "wideband": 4,
+    "crlb-map": 5,
+    "reduced-set": 6,
+}
+EXPERIMENTS = tuple(EXPERIMENT_IDS)
+
+GMM_CONSTRAINTS = (REF_ONE, UNIT_NORM)
 
 
 def db_to_linear(db: float) -> float:
@@ -48,10 +55,12 @@ class ArraySection:
             raise ConfigError(f"array dimensions must be positive, got {self.rows}x{self.cols}")
         if self.spacing <= 0:
             raise ConfigError(f"array spacing must be positive, got {self.spacing}")
-        if not (1 <= self.ref <= self.rows * self.cols):
-            raise ConfigError(
-                f"reference antenna {self.ref} outside 1..{self.rows * self.cols}"
-            )
+        if not (1 <= self.ref <= self.n_antennas):
+            raise ConfigError(f"reference antenna {self.ref} outside 1..{self.n_antennas}")
+
+    @property
+    def n_antennas(self) -> int:
+        return self.rows * self.cols
 
     @property
     def ref_index(self) -> int:
@@ -67,16 +76,7 @@ class CouplingSection:
     sigma2_db: float = -60.0
 
     def validate(self) -> None:
-        if not all(
-            math.isfinite(v)
-            for v in (
-                self.co_slope_db,
-                self.co_intercept_db,
-                self.cross_slope_db,
-                self.cross_intercept_db,
-                self.sigma2_db,
-            )
-        ):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise ConfigError("coupling parameters must be finite")
 
 
@@ -98,7 +98,7 @@ class EstimatorSection:
     epsilon_grid: list[float] = field(default_factory=lambda: [0.0, 0.01, 0.1, 1.0])
     delta_ml: float = 1e-6
     max_iter: int | None = None
-    gmm_constraint: str = "ref-one"
+    gmm_constraint: str = REF_ONE
 
     def validate(self) -> None:
         if self.epsilon < 0 or any(e < 0 for e in self.epsilon_grid):
@@ -109,8 +109,8 @@ class EstimatorSection:
             raise ConfigError(f"delta_ml must be > 0, got {self.delta_ml}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.gmm_constraint not in ("ref-one", "unit-norm"):
-            raise ConfigError(f"gmm_constraint must be ref-one or unit-norm, got {self.gmm_constraint!r}")
+        if self.gmm_constraint not in GMM_CONSTRAINTS:
+            raise ConfigError(f"gmm_constraint must be {' or '.join(GMM_CONSTRAINTS)}, got {self.gmm_constraint!r}")
 
 
 @dataclass
@@ -121,14 +121,16 @@ class MseSweepSection:
     antennas: list[int] = field(default_factory=lambda: [1, 39])  # 1-based
     reduced_radius: float = 0.7071067811865476
 
-    def validate(self, n_antennas: int) -> None:
+    def validate(self, array: ArraySection) -> None:
         if not self.n0_grid_db:
             raise ConfigError("n0_grid_db must not be empty")
         if not self.antennas:
             raise ConfigError("at least one antenna must be tracked")
         for a in self.antennas:
-            if not (1 <= a <= n_antennas):
-                raise ConfigError(f"tracked antenna {a} outside 1..{n_antennas}")
+            if not (1 <= a <= array.n_antennas):
+                raise ConfigError(f"tracked antenna {a} outside 1..{array.n_antennas}")
+            if a == array.ref:
+                raise ConfigError(f"tracked antenna {a} is the reference, whose coefficient is pinned to one")
         if self.reduced_radius <= 0:
             raise ConfigError("reduced_radius must be positive")
 
@@ -138,7 +140,7 @@ class ConvergenceSection:
     n0_db: float = -40.0
     track_iterations: int = 50
 
-    def validate(self) -> None:
+    def validate(self, array: ArraySection) -> None:
         if self.track_iterations < 1:
             raise ConfigError("track_iterations must be >= 1")
 
@@ -148,26 +150,24 @@ class CapacitySection:
     n_users: int = 10
     cal_n0_db: float = -40.0
     dl_noise_db: float = 0.0  # N_w = 1
-    variants: list[str] = field(default_factory=lambda: list(CAPACITY_VARIANTS))
-    gmm_constraint: str = "unit-norm"
+    variants: list[str] = field(default_factory=lambda: list(VARIANTS))
+    gmm_constraint: str = UNIT_NORM
     reciprocal_users: bool = True
 
-    def validate(self, n_antennas: int) -> None:
-        if not (1 <= self.n_users <= n_antennas):
-            raise ConfigError(f"n_users must lie in 1..{n_antennas}, got {self.n_users}")
-        unknown = set(self.variants) - set(CAPACITY_VARIANTS)
+    def validate(self, array: ArraySection) -> None:
+        if not (1 <= self.n_users <= array.n_antennas):
+            raise ConfigError(f"n_users must lie in 1..{array.n_antennas}, got {self.n_users}")
+        unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ConfigError(f"unknown capacity variants: {sorted(unknown)}")
         if not self.variants:
             raise ConfigError("at least one capacity variant required")
-        if self.gmm_constraint not in ("ref-one", "unit-norm"):
-            raise ConfigError(f"gmm_constraint must be ref-one or unit-norm, got {self.gmm_constraint!r}")
+        if self.gmm_constraint not in GMM_CONSTRAINTS:
+            raise ConfigError(f"gmm_constraint must be {' or '.join(GMM_CONSTRAINTS)}, got {self.gmm_constraint!r}")
 
 
 @dataclass
 class WidebandSection:
-    carrier_hz: float = 3.7e9
-    sample_rate_hz: float = 7.68e6
     n_fft: int = 2048
     n_subcarriers: int = 1200
     realizations: int = 20
@@ -177,11 +177,12 @@ class WidebandSection:
     phase_slope_max: float = 1e-4
     ks_alpha: float = 0.05
 
-    def validate(self) -> None:
+    def validate(self, array: ArraySection) -> None:
         if self.n_subcarriers > self.n_fft:
             raise ConfigError("n_subcarriers cannot exceed n_fft")
-        if self.n_subcarriers < 3:
-            raise ConfigError("need at least three subcarriers")
+        if self.n_subcarriers < KS_MIN_SAMPLES:
+            # each antenna's residual over the subcarriers feeds one KS test
+            raise ConfigError(f"need at least {KS_MIN_SAMPLES} subcarriers for the KS tests, got {self.n_subcarriers}")
         if self.realizations < 2:
             raise ConfigError("wideband experiment needs at least two realizations")
         if len(self.offset_range) != 2 or not (0 < self.offset_range[0] <= self.offset_range[1]):
@@ -194,7 +195,7 @@ class WidebandSection:
 class CrlbMapSection:
     n0_grid_db: list[float] = field(default_factory=lambda: [-80.0, -60.0, -40.0])
 
-    def validate(self) -> None:
+    def validate(self, array: ArraySection) -> None:
         if not self.n0_grid_db:
             raise ConfigError("n0_grid_db must not be empty")
 
@@ -204,23 +205,9 @@ class ReducedSetSection:
     n0_db: float = -80.0
     radius: float = 0.7071067811865476
 
-    def validate(self) -> None:
+    def validate(self, array: ArraySection) -> None:
         if self.radius <= 0:
             raise ConfigError("radius must be positive")
-
-
-_SECTION_TYPES = {
-    "array": ArraySection,
-    "coupling": CouplingSection,
-    "frontend": FrontendSection,
-    "estimator": EstimatorSection,
-    "mse_sweep": MseSweepSection,
-    "convergence": ConvergenceSection,
-    "capacity": CapacitySection,
-    "wideband": WidebandSection,
-    "crlb_map": CrlbMapSection,
-    "reduced_set": ReducedSetSection,
-}
 
 
 @dataclass
@@ -256,21 +243,10 @@ class ExperimentConfig:
         self.coupling.validate()
         self.frontend.validate()
         self.estimator.validate()
-        # only the active experiment's section is validated, so defaults for
-        # the 4x25 array do not block other experiments on smaller arrays
-        n = self.array.rows * self.array.cols
-        if self.experiment == "mse-sweep":
-            self.mse_sweep.validate(n)
-        elif self.experiment == "convergence":
-            self.convergence.validate()
-        elif self.experiment == "capacity":
-            self.capacity.validate(n)
-        elif self.experiment == "wideband":
-            self.wideband.validate()
-        elif self.experiment == "crlb-map":
-            self.crlb_map.validate()
-        elif self.experiment == "reduced-set":
-            self.reduced_set.validate()
+        # only the active experiment's section, named after it, is validated,
+        # so defaults for the 4x25 array do not block other experiments on
+        # smaller arrays
+        getattr(self, self.experiment.replace("-", "_")).validate(self.array)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -293,47 +269,38 @@ def _widen(value: Any, hint: Any) -> Any:
     return float(value) if hint is float else value
 
 
-def _typed(prefix: str, cls, values: dict[str, Any]) -> dict[str, Any]:
-    """Check ``values`` against the field annotations of ``cls`` and widen ints to float.
+def _build(cls, payload: Any, prefix: str = ""):
+    """An instance of the dataclass ``cls`` from parsed JSON, its dataclass-typed fields built as sections.
 
-    The widening makes ``-60`` and ``-60.0`` configure the same run, down to
-    the bytes of the CSVs and of the manifest's config echo.
+    Every value is checked against its field annotation, and JSON integers
+    in float positions are widened, so ``-60`` and ``-60.0`` configure the
+    same run, down to the bytes of the CSVs and of the manifest's config echo.
     """
+    section = prefix.rstrip(".")
+    if not isinstance(payload, dict):
+        raise ConfigError(f"section {section!r} must be an object" if section else "configuration root must be a JSON object")
+    unknown = set(payload) - {f.name for f in fields(cls)}
+    if unknown:
+        where = f"keys in section {section!r}" if section else "top-level keys"
+        raise ConfigError(f"unknown {where}: {sorted(unknown)}")
     hints = get_type_hints(cls)
-    typed = dict(values)
+    values: dict[str, Any] = {}
     for f in fields(cls):
-        if f.name in values:
-            if not _matches(values[f.name], hints[f.name]):
-                raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {values[f.name]!r}")
-            typed[f.name] = _widen(values[f.name], hints[f.name])
-    return typed
-
-
-def _build_section(name: str, cls, payload: Any):
-    if not isinstance(payload, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    known = {f for f in cls.__dataclass_fields__}
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
-    return cls(**_typed(f"{name}.", cls, payload))
-
-
-def config_from_dict(payload: dict[str, Any]) -> ExperimentConfig:
-    """Build, type-check against the field annotations, and validate a config from parsed JSON."""
-    if not isinstance(payload, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    kwargs: dict[str, Any] = {}
-    for key, value in payload.items():
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build_section(key, _SECTION_TYPES[key], value)
+        if f.name not in payload:
+            continue
+        value, hint = payload[f.name], hints[f.name]
+        if is_dataclass(hint):
+            values[f.name] = _build(hint, value, f"{prefix}{f.name}.")
+        elif _matches(value, hint):
+            values[f.name] = _widen(value, hint)
         else:
-            kwargs[key] = value
-    cfg = ExperimentConfig(**_typed("", ExperimentConfig, kwargs))
+            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
+    return cls(**values)
+
+
+def config_from_dict(payload: Any) -> ExperimentConfig:
+    """Build, type-check against the field annotations, and validate a config from parsed JSON."""
+    cfg = _build(ExperimentConfig, payload)
     cfg.validate()
     return cfg
 

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IdentifiabilityError
+from .estimators import _check_connected
 from .frontend import FrontEnd
 
 # local parameter order of the information block of one pair (n, m)
@@ -149,6 +150,9 @@ def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]
     n_idx, m_idx = np.nonzero(np.triu(pair_mask, k=1))
     if n_idx.size == 0:
         raise IdentifiabilityError("no bidirectionally measured pair; the information is empty")
+    # a component without the reference leaves the FIM singular, which the
+    # Cholesky factorisation may miss by rounding
+    _check_connected(pair_mask, ref)
 
     P = n_idx.size
     v, w = pair_derivatives(inputs, n_idx, m_idx)
@@ -238,7 +242,7 @@ def crlb_coefficients(inputs: CrlbInputs) -> CrlbReport:
     solved = scipy.linalg.cho_solve(factor, jac.conj().T)
     bound = np.einsum("md,dm->m", jac, solved).real
     bound[inputs.frontend.ref] = np.nan
-    # the Cholesky factorisation proved the FIM positive definite, so its
-    # singular values are its eigenvalues
+    # the connected mask and the Cholesky factorisation make the FIM positive
+    # definite, so its singular values are its eigenvalues
     eigs = scipy.linalg.eigvalsh(fim)
     return CrlbReport(bound, inputs.frontend.ref, float(eigs[-1] / eigs[0]))

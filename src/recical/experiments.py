@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, db_to_linear
+from .config import EXPERIMENT_IDS, ExperimentConfig, db_to_linear
 from .crlb import CrlbInputs, crlb_coefficients
 from .downlink import capacity_trial
 from .estimators import CalibrationEstimate, EmSettings, em_calibrate, gmm_estimate, score_mse
@@ -44,15 +44,6 @@ from .wideband import (
     synth_wideband,
     wideband_record,
 )
-
-EXPERIMENT_IDS = {
-    "mse-sweep": 1,
-    "convergence": 2,
-    "capacity": 3,
-    "wideband": 4,
-    "crlb-map": 5,
-    "reduced-set": 6,
-}
 
 SEED_SCHEME = (
     "numpy SeedSequence((master_seed, experiment_id, trial)); coupling phases and the wideband kernel use "
@@ -351,7 +342,7 @@ def run_wideband(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     geom, model, fe = build_setup(config)
     ref = fe.ref
     wb = config.wideband
-    grid = OfdmGrid(wb.carrier_hz, wb.sample_rate_hz, wb.n_fft, wb.n_subcarriers)
+    grid = OfdmGrid(wb.n_fft, wb.n_subcarriers)
     params = WidebandParams(tuple(wb.offset_range), wb.mag_slope_max, wb.phase_slope_max)
     truths = synth_wideband(geom.n_antennas, grid, params, wb.realizations, shared_rng(config.seed, "wideband"))
     ctx = _TrialContext(config, geom, model, fe, truths=truths)

@@ -21,13 +21,14 @@ from .frontend import FrontEnd
 from .geometry import ArrayGeometry, CouplingModel, draw_channel
 from .sounding import sound
 
+# fewest samples the asymptotic KS critical value is used for
+KS_MIN_SAMPLES = 50
+
 
 @dataclass(frozen=True)
 class OfdmGrid:
     """High-level OFDM numerology; only the used-subcarrier count matters here."""
 
-    carrier_hz: float = 3.7e9
-    sample_rate_hz: float = 7.68e6
     n_fft: int = 2048
     n_subcarriers: int = 1200
 
@@ -266,8 +267,8 @@ def ks_gaussianity(samples: np.ndarray, alpha: float = 0.05) -> KsTest:
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.size
-    if n < 50:
-        raise ValueError(f"KS verdict needs at least 50 samples, got {n}")
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"KS verdict needs at least {KS_MIN_SAMPLES} samples, got {n}")
     if not (0 < alpha < 1):
         raise ValueError(f"significance level must be in (0, 1), got {alpha}")
     scale = float(np.sqrt(np.mean(samples**2)))

@@ -19,7 +19,7 @@ from recical.crlb import (
     pair_statistics,
 )
 from recical.errors import IdentifiabilityError
-from recical.estimators import EmSettings, em_calibrate, score_mse
+from recical.estimators import REF_ONE, UNIT_NORM, EmSettings, em_calibrate, gmm_estimate, score_mse
 from recical.frontend import FrontEnd, deterministic_frontend, random_frontend, true_coefficients
 from recical.geometry import build_geometry, draw_channel, draw_coupling, full_mask, reduced_mask
 from recical.sounding import sound
@@ -74,6 +74,28 @@ def block_cases(draw):
     noise_var = 10.0 ** (draw(st.integers(-100, -30)) / 10.0)
     seed = draw(st.integers(0, 2**32 - 1))
     return rows, cols, radius, ref, sigma2, noise_var, seed
+
+
+@st.composite
+def disconnected_cases(draw):
+    """A 1x2 to 3x7 array whose bidirectional pairs form two components.
+
+    The antennas are split at random into two non-empty groups, each fully
+    measured inside and never across; a random front-end, a multipath
+    variance of zero, -60 or -40 dB, and noise from -100 to -30 dB.
+    """
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(2, 7))
+    m = rows * cols
+    order = draw(st.permutations(range(m)))
+    first = np.isin(np.arange(m), order[: draw(st.integers(1, m - 1))])
+    mask = first[:, None] == first[None, :]
+    np.fill_diagonal(mask, False)
+    ref = draw(st.integers(0, m - 1))
+    sigma2 = draw(st.sampled_from([0.0, 1e-6, 1e-4]))
+    noise_var = 10.0 ** (draw(st.integers(-100, -30)) / 10.0)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return rows, cols, mask, ref, sigma2, noise_var, seed
 
 
 class TestPairStatistics:
@@ -240,3 +262,23 @@ class TestCrlbCoefficients:
         for antenna in (0, 38):
             gap_db = 10 * np.log10(score.mse[antenna] / bound[antenna])
             assert abs(gap_db) < 1.0
+
+
+class TestDisconnectedMask:
+    @given(disconnected_cases())
+    def test_estimators_and_bound_all_reject_it(self, coupling, case):
+        # no estimator can relate the two components, and the bound must not
+        # return numbers for the component without the reference either
+        rows, cols, mask, ref, sigma2, noise_var, seed = case
+        geom = build_geometry(rows, cols)
+        rng = np.random.default_rng(seed)
+        fe = random_frontend(geom.n_antennas, ref, 0.3, rng)
+        hbar = draw_coupling(geom, coupling, rng)
+        data = sound(draw_channel(geom, coupling, rng, coupling=hbar), fe, noise_var, rng, mask=mask)
+        for constraint in (REF_ONE, UNIT_NORM):
+            with pytest.raises(IdentifiabilityError):
+                gmm_estimate(data, constraint, ref=ref)
+        with pytest.raises(IdentifiabilityError):
+            em_calibrate(data, EmSettings(ref=ref))
+        with pytest.raises(IdentifiabilityError):
+            crlb_coefficients(CrlbInputs(fe, hbar, sigma2, noise_var, mask))

@@ -5,13 +5,14 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from recical import experiments
-from recical.config import ConfigError, config_from_dict, default_config, load_config
+from recical.config import EXPERIMENT_IDS, ConfigError, ExperimentConfig, config_from_dict, default_config, load_config
 from recical.experiments import run_experiment
 
 
@@ -125,6 +126,27 @@ class TestConfig:
         # integers in float fields are widened, so they echo as floats
         assert type(cfg.array.spacing) is float
         assert [type(e) for e in cfg.estimator.epsilon_grid] == [float, float]
+
+    def test_reference_not_tracked(self):
+        # the reference coefficient is pinned to one: it has no error and no bound
+        with pytest.raises(ConfigError, match="tracked antenna 3 is the reference"):
+            config_from_dict(
+                {"experiment": "mse-sweep", "array": TINY_ARRAY, "mse_sweep": {"antennas": [1, 3]}}
+            )
+
+    def test_wideband_needs_ks_sample_count(self):
+        # each residual KS test runs over the subcarriers; fewer than 50 must
+        # fail here, before any EM solve or CSV
+        with pytest.raises(ConfigError, match="at least 50 subcarriers"):
+            config_from_dict({"experiment": "wideband", "array": TINY_ARRAY, "wideband": {"n_subcarriers": 20}})
+        config_from_dict({"experiment": "wideband", **TINY_WIDEBAND})
+
+    def test_every_experiment_has_a_runner_and_a_section(self):
+        # the active section is looked up by the experiment's name
+        sections = {f.name for f in fields(ExperimentConfig)}
+        assert set(experiments._RUNNERS) == set(EXPERIMENT_IDS)
+        for name in EXPERIMENT_IDS:
+            assert name.replace("-", "_") in sections, name
 
 
 class TestRunners:
@@ -417,6 +439,15 @@ class TestCli:
         result = self.run_cli("crlb-map", "--config", str(cfg), "--out", str(out))
         assert result.returncode == 0, result.stderr
         assert json.loads((out / "manifest.json").read_text())["experiment"] == "crlb-map"
+
+    def test_os_errors_give_error_json(self, tmp_path):
+        # a directory as --config, an existing file as --out
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for args, error in ((["--config", str(tmp_path)], "IsADirectoryError"), (["--out", str(taken)], "FileExistsError")):
+            result = self.run_cli("reduced-set", *args)
+            assert result.returncode == 1, args
+            assert json.loads(result.stderr)["type"] == error
 
     def test_unknown_experiment_rejected(self):
         result = self.run_cli("urban-macro")
