@@ -10,7 +10,7 @@ All powers and variances given in dB use 10*log10(linear).
 from __future__ import annotations
 
 import json
-import math
+import sys
 import types
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -74,10 +74,6 @@ class CouplingSection:
     cross_slope_db: float = -10.0
     cross_intercept_db: float = -15.0
     sigma2_db: float = -60.0
-
-    def validate(self) -> None:
-        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
-            raise ConfigError("coupling parameters must be finite")
 
 
 @dataclass
@@ -187,6 +183,8 @@ class WidebandSection:
             raise ConfigError("wideband experiment needs at least two realizations")
         if len(self.offset_range) != 2 or not (0 < self.offset_range[0] <= self.offset_range[1]):
             raise ConfigError("offset_range must be [lo, hi] with 0 < lo <= hi")
+        if self.mag_slope_max < 0 or self.phase_slope_max < 0:
+            raise ConfigError("mag_slope_max and phase_slope_max must be >= 0")
         if not (0 < self.ks_alpha < 1):
             raise ConfigError("ks_alpha must lie in (0, 1)")
 
@@ -240,7 +238,6 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         self.array.validate()
-        self.coupling.validate()
         self.frontend.validate()
         self.estimator.validate()
         # only the active experiment's section, named after it, is validated,
@@ -253,13 +250,17 @@ class ExperimentConfig:
 
 
 def _matches(value: Any, hint: Any) -> bool:
-    """Whether a JSON value fits an annotation: int rejects bool and float, float takes int, null needs ``| None``."""
+    """Whether a JSON value fits an annotation: int rejects bool and float, float takes finite numbers, null needs ``| None``."""
     if get_origin(hint) is types.UnionType:
         return any(_matches(value, h) for h in get_args(hint))
     if get_origin(hint) is list:
         return isinstance(value, list) and all(_matches(v, get_args(hint)[0]) for v in value)
-    allowed = (int, float) if hint is float else hint
-    return isinstance(value, allowed) and (hint is bool or not isinstance(value, bool))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        # refuses NaN, Infinity and integers past the float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
 
 
 def _widen(value: Any, hint: Any) -> Any:
@@ -294,7 +295,8 @@ def _build(cls, payload: Any, prefix: str = ""):
         elif _matches(value, hint):
             values[f.name] = _widen(value, hint)
         else:
-            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
+            finite = " (finite)" if "float" in f.type else ""
+            raise ConfigError(f"{prefix}{f.name} must be {f.type}{finite}, got {value!r}")
     return cls(**values)
 
 

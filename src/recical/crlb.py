@@ -147,13 +147,10 @@ def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]
     M = fe.n_antennas
     ref = fe.ref
     pair_mask = inputs.mask & inputs.mask.T
-    n_idx, m_idx = np.nonzero(np.triu(pair_mask, k=1))
-    if n_idx.size == 0:
-        raise IdentifiabilityError("no bidirectionally measured pair; the information is empty")
-    # a component without the reference leaves the FIM singular, which the
-    # Cholesky factorisation may miss by rounding
+    # an empty mask, or a component without the reference, leaves the FIM
+    # singular, which the Cholesky factorisation may miss by rounding
     _check_connected(pair_mask, ref)
-
+    n_idx, m_idx = np.nonzero(np.triu(pair_mask, k=1))
     P = n_idx.size
     v, w = pair_derivatives(inputs, n_idx, m_idx)
     a2, b2 = np.abs(v) ** 2

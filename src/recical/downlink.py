@@ -8,7 +8,7 @@ Sum rates treat inter-user interference as noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ VARIANTS = (UNCALIBRATED, GMM_VARIANT, EM_VARIANT, PERFECT, TRUE_CSI)
 
 ZF = "zf"
 MRT = "mrt"
+PRECODERS = (ZF, MRT)
 
 
 @dataclass
@@ -42,19 +43,21 @@ class DownlinkScenario:
     user_tx: np.ndarray  # (K,) user transmit gains
     user_rx: np.ndarray  # (K,) user receive gains
     noise_var: float = 1.0
-    power: float = field(default=0.0)  # 0 means "use K"
 
     def __post_init__(self) -> None:
         if self.noise_var <= 0:
             raise ValueError(f"downlink noise variance must be > 0, got {self.noise_var}")
         if self.n_users > self.h_up.shape[0]:
             raise ValueError("more users than base-station antennas")
-        if self.power == 0.0:
-            self.power = float(self.n_users)
 
     @property
     def n_users(self) -> int:
         return self.h_up.shape[1]
+
+    @property
+    def power(self) -> float:
+        """Total transmit power: one unit per user."""
+        return float(self.n_users)
 
 
 def draw_scenario(
@@ -125,12 +128,8 @@ def evm(received: np.ndarray, sent: np.ndarray) -> float:
     return float(np.mean(np.abs(received - sent) ** 2 / np.abs(sent) ** 2))
 
 
-def variant_sum_rates(
-    scenario: DownlinkScenario,
-    coefficients: dict[str, np.ndarray],
-    precoders: tuple[str, ...] = (ZF, MRT),
-) -> dict[str, dict[str, float]]:
-    """Sum rates of every calibration variant under the requested precoders.
+def variant_sum_rates(scenario: DownlinkScenario, coefficients: dict[str, np.ndarray]) -> dict[str, dict[str, float]]:
+    """Sum rates of every calibration variant under every precoder of :data:`PRECODERS`.
 
     ``coefficients`` maps variant names to coefficient vectors; the
     ``true-downlink-csi`` baseline ignores calibration and precodes on the
@@ -140,7 +139,7 @@ def variant_sum_rates(
     for variant, c in coefficients.items():
         g = scenario.h_dl if variant == TRUE_CSI else calibrated_downlink(scenario.h_up, c)
         rates[variant] = {}
-        for kind in precoders:
+        for kind in PRECODERS:
             p = zf_precoder(g, scenario.power) if kind == ZF else mrt_precoder(g, scenario.power)
             rates[variant][kind] = sum_rate(scenario.h_dl, p, scenario.noise_var)
     return rates

@@ -83,7 +83,9 @@ class EmSettings:
 
 
 def _check_connected(pair_mask: np.ndarray, ref: int | None) -> None:
-    """Every antenna must reach every other through bidirectionally measured pairs."""
+    """At least one pair is measured both ways, and every antenna reaches every other through such pairs."""
+    if not pair_mask.any():
+        raise IdentifiabilityError("mask contains no bidirectionally measured pair")
     reached = np.zeros(pair_mask.shape[0], dtype=bool)
     reached[0] = True
     frontier = reached.copy()
@@ -129,10 +131,7 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
     smallest eigenpair is computed (LAPACK's MRRR solver after the cubic
     tridiagonal reduction), not the whole spectrum.
     """
-    pair_mask, _ = _masked_measurements(data)
-    if not pair_mask.any():
-        raise IdentifiabilityError("mask contains no bidirectionally measured pair")
-    _check_connected(pair_mask, ref if constraint == REF_ONE else None)
+    _check_connected(data.pair_mask(), ref if constraint == REF_ONE else None)
     q = moment_matrix(data)
     M = data.n_antennas
     if (ref is None and constraint == REF_ONE) or (ref is not None and not 0 <= ref < M):
@@ -215,8 +214,6 @@ def em_calibrate(
     """
     settings = settings or EmSettings()
     pair_mask, y = _masked_measurements(data)
-    if not pair_mask.any():
-        raise IdentifiabilityError("mask contains no bidirectionally measured pair")
     _check_connected(pair_mask, None)
     M = data.n_antennas
     max_iter = settings.max_iter if settings.max_iter is not None else 50 * M

@@ -7,12 +7,17 @@ Every experiment derives one stream per trial from the triple
 from its own child of the shared sequence, so it never reuses the coupling
 or kernel draws.
 
+Each runner maps a config to its tables, ``{csv name: (header, rows)}``.
+:func:`run_experiment` writes the tables and the manifest only after the
+whole computation has succeeded, so a run that raises leaves no CSV behind.
+
 A run opens at most one worker pool.  Every independent unit of work is one
-task mapped over it: a (noise point, trial) pair in mse-sweep, an
-(epsilon, trial) pair in convergence, a trial in capacity and a realization
-in wideband.  Results are reduced in task order and floats are written with
-shortest round-trip formatting, so a fixed seed gives byte-identical CSV
-files no matter how many workers run.
+(point, trial) task mapped over it: the points are the noise levels of
+mse-sweep, the epsilons of convergence, and the one calibration or sounding
+noise of capacity and wideband, whose trials are the realizations.  Results
+are reduced in task order and floats are written with shortest round-trip
+formatting, so a fixed seed gives byte-identical CSV files no matter how
+many workers run.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from . import __version__
 from .config import EXPERIMENT_IDS, ExperimentConfig, db_to_linear
 from .crlb import CrlbInputs, crlb_coefficients
-from .downlink import capacity_trial
+from .downlink import PRECODERS, capacity_trial
 from .estimators import CalibrationEstimate, EmSettings, em_calibrate, gmm_estimate, score_mse
 from .frontend import FrontEnd, deterministic_frontend, random_frontend, true_coefficients
 from .geometry import ArrayGeometry, CouplingModel, build_geometry, draw_channel, draw_coupling, full_mask, reduced_mask
@@ -145,6 +150,10 @@ def _db(x: float) -> float:
     return 10.0 * np.log10(x)
 
 
+# one runner's output: CSV file name -> (header, rows)
+Tables = dict[str, tuple[list[str], list[tuple]]]
+
+
 # ---------------------------------------------------------------------------
 # worker-pool plumbing: the context is installed once per worker process and
 # tasks are mapped in order so the reduction is schedule-independent
@@ -157,16 +166,22 @@ def _init_worker(ctx) -> None:
     _CTX = ctx
 
 
-def _run_trials(worker, ctx, tasks: list, workers: int) -> list:
-    """``worker`` over ``tasks`` in order: here, or in the run's one pool of at most ``len(tasks)`` workers."""
-    workers = min(workers, len(tasks))
+def _run_trials(worker, ctx, points: list, trials: int) -> list[list]:
+    """``worker((point, trial))`` for every trial at every point, results grouped per point.
+
+    Tasks run in order here, or in the run's one pool of at most one worker
+    per task (``ctx.config.workers`` at most).
+    """
+    tasks = [(point, t) for point in points for t in range(trials)]
+    workers = min(ctx.config.workers, len(tasks))
     if workers <= 1:
-        global _CTX
-        _CTX = ctx
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,)) as ex:
-        chunk = max(1, len(tasks) // (8 * workers))
-        return list(ex.map(worker, tasks, chunksize=chunk))
+        _init_worker(ctx)
+        results = [worker(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,)) as ex:
+            chunk = max(1, len(tasks) // (8 * workers))
+            results = list(ex.map(worker, tasks, chunksize=chunk))
+    return [results[i : i + trials] for i in range(0, len(results), trials)]
 
 
 @dataclass
@@ -180,6 +195,15 @@ class _TrialContext:
     coupling_mean: np.ndarray | None = None
     truths: list[WidebandTruth] | None = None
 
+    def trial_stream(self, t: int) -> np.random.Generator:
+        return trial_rng(self.config.seed, self.config.experiment, t)
+
+    def sounding(self, n0: float, t: int):
+        """Trial ``t``'s channel draw around the coupling mean, sounded at noise ``n0``."""
+        rng = self.trial_stream(t)
+        h = draw_channel(self.geometry, self.model, rng, coupling=self.coupling_mean)
+        return sound(h, self.frontend, n0, rng)
+
 
 def _context(config: ExperimentConfig) -> _TrialContext:
     """The set-up, built once per run, with the coupling mean drawn from the shared stream."""
@@ -189,19 +213,14 @@ def _context(config: ExperimentConfig) -> _TrialContext:
 
 
 def _mse_trial(task: tuple[float, int]):
-    n0, t = task
-    ctx = _CTX
-    config = ctx.config
-    fe = ctx.frontend
-    rng = trial_rng(config.seed, "mse-sweep", t)
-    h = draw_channel(ctx.geometry, ctx.model, rng, coupling=ctx.coupling_mean)
-    data = sound(h, fe, n0, rng)
-    gmm = gmm_estimate(data, config.estimator.gmm_constraint, ref=fe.ref)
+    data = _CTX.sounding(*task)
+    config = _CTX.config
+    gmm = gmm_estimate(data, config.estimator.gmm_constraint, ref=_CTX.frontend.ref)
     em = em_calibrate(data, _em_settings(config))
     return gmm.c_hat, em.c_hat
 
 
-def run_mse_sweep(config: ExperimentConfig, out_dir: Path) -> list[Path]:
+def run_mse_sweep(config: ExperimentConfig) -> Tables:
     """Per-antenna MSE of both estimators against the bound over a noise grid."""
     ctx = _context(config)
     geom, fe, hbar, sigma2 = ctx.geometry, ctx.frontend, ctx.coupling_mean, ctx.model.sigma2
@@ -209,103 +228,70 @@ def run_mse_sweep(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     ref = fe.ref
     mask = full_mask(geom.n_antennas)
     rmask = reduced_mask(geom, config.mse_sweep.reduced_radius)
-    antennas = [a - 1 for a in config.mse_sweep.antennas]
     n0s = [db_to_linear(n0_db) for n0_db in config.mse_sweep.n0_grid_db]
     # bounds before trials: their large temporaries raise glibc's dynamic
     # mmap threshold, which keeps the trials' M x M temporaries off fresh
     # mmap pages, in the pool's forked workers too (trials first took 6x the
     # minor page faults and 7% longer at M=100)
     bounds = [[crlb_coefficients(CrlbInputs(fe, hbar, sigma2, n0, m)).bound for m in (mask, rmask)] for n0 in n0s]
-    trials = config.trials
-    tasks = [(n0, t) for n0 in n0s for t in range(trials)]
-    all_results = _run_trials(_mse_trial, ctx, tasks, config.workers)
+    per_point = _run_trials(_mse_trial, ctx, n0s, config.trials)
 
     rows = []
-    for i, (n0_db, (bound, bound_r)) in enumerate(zip(config.mse_sweep.n0_grid_db, bounds)):
-        results = all_results[i * trials : (i + 1) * trials]
-        gmm_estimates = [CalibrationEstimate(g, "gmm", "", ref=ref) for g, _ in results]
-        em_estimates = [CalibrationEstimate(e, "em", "", ref=ref) for _, e in results]
-        score_g = score_mse(gmm_estimates, c_true, ref)
-        score_e = score_mse(em_estimates, c_true, ref)
-        for antenna_1b, a in zip(config.mse_sweep.antennas, antennas):
+    for n0_db, (bound, bound_r), results in zip(config.mse_sweep.n0_grid_db, bounds, per_point):
+        score_g = score_mse([CalibrationEstimate(g, "gmm", "", ref=ref) for g, _ in results], c_true, ref)
+        score_e = score_mse([CalibrationEstimate(e, "em", "", ref=ref) for _, e in results], c_true, ref)
+        for antenna in config.mse_sweep.antennas:
+            a = antenna - 1
             for method, score in (("gmm", score_g), ("em", score_e)):
                 rows.append(
-                    (
-                        n0_db,
-                        antenna_1b,
-                        method,
-                        _db(score.mse[a]),
-                        _db(bound[a]),
-                        _db(bound_r[a]),
-                        score.trials_used,
-                    )
+                    (n0_db, antenna, method, _db(score.mse[a]), _db(bound[a]), _db(bound_r[a]), score.trials_used)
                 )
-    path = out_dir / "mse_sweep.csv"
-    write_csv(path, ["n0_db", "antenna", "method", "mse_db", "crlb_db", "crlb_reduced_db", "trials"], rows)
-    return [path]
+    return {"mse_sweep.csv": (["n0_db", "antenna", "method", "mse_db", "crlb_db", "crlb_reduced_db", "trials"], rows)}
 
 
-def _convergence_trial(task: tuple[float, int]):
+def _convergence_trial(task: tuple[float, int]) -> np.ndarray:
+    """Rows of EM's per-iteration MSE and step over the tracked iterations; a converged run holds its final values."""
     eps, t = task
     ctx = _CTX
     config = ctx.config
-    rng = trial_rng(config.seed, "convergence", t)
-    h = draw_channel(ctx.geometry, ctx.model, rng, coupling=ctx.coupling_mean)
-    data = sound(h, ctx.frontend, db_to_linear(config.convergence.n0_db), rng)
     settings = _em_settings(config, epsilon=eps)
     settings.keep_history = True
-    est = em_calibrate(data, settings)
-    return est.c_hat, est.history.coefficients, est.history.deltas, est.iterations, est.converged
-
-
-def run_convergence(config: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """Per-iteration MSE and step size of the EM run for each regularization."""
-    ctx = _context(config)
-    c_true = true_coefficients(ctx.frontend)
+    history = em_calibrate(ctx.sounding(db_to_linear(config.convergence.n0_db), t), settings).history
+    track = config.convergence.track_iterations
     ref = ctx.frontend.ref
     others = np.arange(ctx.geometry.n_antennas) != ref
-    track = config.convergence.track_iterations
-    trials = config.trials
-    tasks = [(eps, t) for eps in config.estimator.epsilon_grid for t in range(trials)]
-    all_results = _run_trials(_convergence_trial, ctx, tasks, config.workers)
+    coeffs = np.array(history.coefficients[:track])
+    errors = true_coefficients(ctx.frontend)[others] - coeffs[:, others] / coeffs[:, ref, None]
+    # one mean per row: a mean along axis 1 sums in another order
+    mse = [np.mean(np.abs(e) ** 2) for e in errors]
+    traces = np.stack([mse, history.deltas[:track]])
+    return np.pad(traces, ((0, 0), (0, track - traces.shape[1])), mode="edge")
 
+
+def run_convergence(config: ExperimentConfig) -> Tables:
+    """Per-iteration MSE and step size of the EM run for each regularization."""
+    epsilons = config.estimator.epsilon_grid
     rows = []
-    for i, eps in enumerate(config.estimator.epsilon_grid):
-        results = all_results[i * trials : (i + 1) * trials]
-        mse_acc = np.zeros(track)
-        delta_acc = np.zeros(track)
-        for _, coeffs, deltas, _, _ in results:
-            # converged trials hold their final value on later iterations
-            per_iter_mse = []
-            for c in coeffs[:track]:
-                normalized = c / c[ref]
-                per_iter_mse.append(float(np.mean(np.abs(c_true[others] - normalized[others]) ** 2)))
-            last_mse = per_iter_mse[-1]
-            last_delta = deltas[min(len(deltas), track) - 1]
-            for i in range(track):
-                mse_acc[i] += per_iter_mse[i] if i < len(per_iter_mse) else last_mse
-                delta_acc[i] += deltas[i] if i < len(deltas) else last_delta
-        n = len(results)
-        for i in range(track):
-            rows.append((eps, i + 1, _db(mse_acc[i] / n), delta_acc[i] / n))
-    path = out_dir / "convergence.csv"
-    write_csv(path, ["epsilon", "iteration", "mse_db", "delta"], rows)
-    return [path]
+    for eps, results in zip(epsilons, _run_trials(_convergence_trial, _context(config), epsilons, config.trials)):
+        # summed in trial order, so the bytes do not depend on the schedule
+        mse, delta = sum(results) / len(results)
+        rows += [(eps, i + 1, _db(m), d) for i, (m, d) in enumerate(zip(mse, delta))]
+    return {"convergence.csv": (["epsilon", "iteration", "mse_db", "delta"], rows)}
 
 
-def _capacity_trial(t: int):
+def _capacity_trial(task: tuple[float, int]):
+    cal_n0, t = task
     ctx = _CTX
     config = ctx.config
     cap = config.capacity
-    rng = trial_rng(config.seed, "capacity", t)
     return capacity_trial(
         ctx.geometry,
         ctx.model,
         ctx.frontend,
-        db_to_linear(cap.cal_n0_db),
+        cal_n0,
         cap.n_users,
         tuple(cap.variants),
-        rng,
+        ctx.trial_stream(t),
         coupling_mean=ctx.coupling_mean,
         em_settings=_em_settings(config),
         gmm_constraint=cap.gmm_constraint,
@@ -314,69 +300,64 @@ def _capacity_trial(t: int):
     )
 
 
-def run_capacity(config: ExperimentConfig, out_dir: Path) -> list[Path]:
+def run_capacity(config: ExperimentConfig) -> Tables:
     """Sum-rate samples per calibration variant and precoder."""
-    results = _run_trials(_capacity_trial, _context(config), list(range(config.trials)), config.workers)
-    rows = []
-    for variant in config.capacity.variants:
-        for precoder in ("zf", "mrt"):
-            for t, rates in enumerate(results):
-                rows.append((variant, precoder, t, rates[variant][precoder]))
-    path = out_dir / "capacity.csv"
-    write_csv(path, ["variant", "precoder", "trial", "sum_rate_bits_per_hz"], rows)
-    return [path]
+    cap = config.capacity
+    (results,) = _run_trials(_capacity_trial, _context(config), [db_to_linear(cap.cal_n0_db)], config.trials)
+    rows = [
+        (variant, precoder, t, rates[variant][precoder])
+        for variant in cap.variants
+        for precoder in PRECODERS
+        for t, rates in enumerate(results)
+    ]
+    return {"capacity.csv": (["variant", "precoder", "trial", "sum_rate_bits_per_hz"], rows)}
 
 
-def _wideband_realization(r: int) -> np.ndarray:
+def _wideband_realization(task: tuple[float, int]) -> np.ndarray:
+    n0, r = task
     ctx = _CTX
-    config = ctx.config
-    n0 = db_to_linear(config.wideband.n0_db)
-    rng = trial_rng(config.seed, "wideband", r)
     return per_subcarrier_estimate(
-        ctx.truths[r], ctx.geometry, ctx.model, n0, ctx.frontend.ref, rng, em_settings=_em_settings(config)
+        ctx.truths[r], ctx.geometry, ctx.model, n0, ctx.frontend.ref, ctx.trial_stream(r),
+        em_settings=_em_settings(ctx.config),
     )
 
 
-def run_wideband(config: ExperimentConfig, out_dir: Path) -> list[Path]:
+def run_wideband(config: ExperimentConfig) -> Tables:
     """Subcarrier-process study: PCA spectra, kernel fits, residual KS tests."""
     geom, model, fe = build_setup(config)
-    ref = fe.ref
     wb = config.wideband
     grid = OfdmGrid(wb.n_fft, wb.n_subcarriers)
     params = WidebandParams(tuple(wb.offset_range), wb.mag_slope_max, wb.phase_slope_max)
-    truths = synth_wideband(geom.n_antennas, grid, params, wb.realizations, shared_rng(config.seed, "wideband"))
+    truths = synth_wideband(geom.n_antennas, grid, params, wb.realizations, shared_rng(config.seed, config.experiment))
     ctx = _TrialContext(config, geom, model, fe, truths=truths)
-    estimates = np.stack(_run_trials(_wideband_realization, ctx, list(range(wb.realizations)), config.workers))
+    (realizations,) = _run_trials(_wideband_realization, ctx, [db_to_linear(wb.n0_db)], wb.realizations)
+    estimates = np.stack(realizations)
 
-    spectra_rows = []
-    for m, res in enumerate(pca(estimates)):
-        lead = res.eigenvalues[0]
-        for i, lam in enumerate(res.eigenvalues[: min(10, res.eigenvalues.size)]):
-            spectra_rows.append((m + 1, i + 1, lam / lead))
-    spectra = out_dir / "wideband_spectra.csv"
-    write_csv(spectra, ["antenna", "component", "eigenvalue_normalized"], spectra_rows)
-
+    spectra_rows = [
+        (m + 1, i + 1, lam / res.eigenvalues[0])
+        for m, res in enumerate(pca(estimates))
+        for i, lam in enumerate(res.eigenvalues[: res.components.shape[1]])
+    ]
     record = wideband_record(estimates[0])
     fit_rows = [
         (m + 1, f.offset.real, f.offset.imag, f.mag_slope, f.phase_slope)
         for m, f in enumerate(record.fits)
     ]
-    fits = out_dir / "wideband_fits.csv"
-    write_csv(fits, ["antenna", "offset_re", "offset_im", "mag_slope", "phase_slope"], fit_rows)
-
     ks_rows = []
-    for m in range(geom.n_antennas):
-        if m == ref:
+    for m, residual in enumerate(record.residuals):
+        if m == fe.ref:
             continue  # the reference row is identically one; its residual is void
-        for part, values in (("re", record.residuals[m].real), ("im", record.residuals[m].imag)):
+        for part, values in (("re", residual.real), ("im", residual.imag)):
             result = ks_gaussianity(values, wb.ks_alpha)
             ks_rows.append((m + 1, part, result.statistic, result.critical, result.passed))
-    ks = out_dir / "wideband_ks.csv"
-    write_csv(ks, ["antenna", "part", "statistic", "critical", "passed"], ks_rows)
-    return [spectra, fits, ks]
+    return {
+        "wideband_spectra.csv": (["antenna", "component", "eigenvalue_normalized"], spectra_rows),
+        "wideband_fits.csv": (["antenna", "offset_re", "offset_im", "mag_slope", "phase_slope"], fit_rows),
+        "wideband_ks.csv": (["antenna", "part", "statistic", "critical", "passed"], ks_rows),
+    }
 
 
-def run_crlb_map(config: ExperimentConfig, out_dir: Path) -> list[Path]:
+def run_crlb_map(config: ExperimentConfig) -> Tables:
     """Per-antenna bound across the noise grid (full measurement set)."""
     ctx = _context(config)
     geom, fe, hbar, sigma2 = ctx.geometry, ctx.frontend, ctx.coupling_mean, ctx.model.sigma2
@@ -388,12 +369,10 @@ def run_crlb_map(config: ExperimentConfig, out_dir: Path) -> list[Path]:
             if m == fe.ref:
                 continue
             rows.append((n0_db, m + 1, _db(report.bound[m]), report.fim_condition))
-    path = out_dir / "crlb_map.csv"
-    write_csv(path, ["n0_db", "antenna", "crlb_db", "fim_condition"], rows)
-    return [path]
+    return {"crlb_map.csv": (["n0_db", "antenna", "crlb_db", "fim_condition"], rows)}
 
 
-def run_reduced_set(config: ExperimentConfig, out_dir: Path) -> list[Path]:
+def run_reduced_set(config: ExperimentConfig) -> Tables:
     """Bound inflation when only short-range pairs are measured."""
     ctx = _context(config)
     geom, fe, hbar, sigma2 = ctx.geometry, ctx.frontend, ctx.coupling_mean, ctx.model.sigma2
@@ -407,9 +386,7 @@ def run_reduced_set(config: ExperimentConfig, out_dir: Path) -> list[Path]:
         if m == fe.ref:
             continue
         rows.append((m + 1, _db(full[m]), _db(reduced[m]), _db(reduced[m]) - _db(full[m])))
-    path = out_dir / "reduced_set.csv"
-    write_csv(path, ["antenna", "crlb_full_db", "crlb_reduced_db", "delta_db"], rows)
-    return [path]
+    return {"reduced_set.csv": (["antenna", "crlb_full_db", "crlb_reduced_db", "delta_db"], rows)}
 
 
 _RUNNERS = {
@@ -423,20 +400,25 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunManifest:
-    """Run one experiment end to end and write its CSVs plus a manifest."""
+    """Run one experiment end to end, then write its CSVs plus a manifest.
+
+    Nothing is written until the whole computation has succeeded, so a run
+    that raises leaves no CSV behind.
+    """
     config.validate()
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    outputs = _RUNNERS[config.experiment](config, out)
-    wall = time.perf_counter() - start
+    tables = _RUNNERS[config.experiment](config)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
     manifest = RunManifest(
         experiment=config.experiment,
         config=config.to_dict(),
         version=__version__,
         master_seed=config.seed,
-        wall_time_s=wall,
-        outputs=[p.name for p in outputs],
+        wall_time_s=time.perf_counter() - start,
+        outputs=list(tables),
         seed_ledger={
             "scheme": SEED_SCHEME,
             "experiment_id": EXPERIMENT_IDS[config.experiment],
@@ -444,7 +426,4 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         },
     )
     manifest.write(out)
-    for p in outputs:
-        if not p.exists() or p.stat().st_size == 0:
-            raise RuntimeError(f"output {p} missing or empty after a successful run")
     return manifest

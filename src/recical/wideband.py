@@ -104,7 +104,6 @@ def per_subcarrier_estimate(
     ref: int,
     rng: np.random.Generator,
     em_settings: EmSettings | None = None,
-    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Estimate the coefficients independently at every subcarrier.
 
@@ -122,7 +121,7 @@ def per_subcarrier_estimate(
     out = np.empty_like(truth.values)
     for k in range(truth.n_subcarriers):
         fe = FrontEnd(truth.values[:, k].copy(), ones, ref)
-        data = sound(h, fe, noise_var, rng, mask=mask)
+        data = sound(h, fe, noise_var, rng)
         est = em_calibrate(data, settings)
         out[:, k] = est.c_hat / est.c_hat[ref]
     return out

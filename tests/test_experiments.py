@@ -111,6 +111,13 @@ class TestConfig:
             ({"capacity": {"variants": "gmm"}}, "capacity.variants"),
             ({"capacity": {"reciprocal_users": 1}}, "capacity.reciprocal_users"),
             ({"coupling": {"sigma2_db": None}}, "coupling.sigma2_db"),
+            # JSON's NaN and Infinity, and integers past the float range
+            ({"capacity": {"dl_noise_db": float("nan")}}, "capacity.dl_noise_db"),
+            ({"capacity": {"dl_noise_db": float("inf")}}, "capacity.dl_noise_db"),
+            ({"coupling": {"sigma2_db": float("-inf")}}, "coupling.sigma2_db"),
+            ({"wideband": {"mag_slope_max": float("nan")}}, "wideband.mag_slope_max"),
+            ({"estimator": {"epsilon_grid": [0.1, float("inf")]}}, "estimator.epsilon_grid"),
+            ({"array": {"spacing": 10**400}}, "array.spacing"),
         ],
     )
     def test_wrong_json_type_rejected(self, payload, field):
@@ -140,6 +147,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="at least 50 subcarriers"):
             config_from_dict({"experiment": "wideband", "array": TINY_ARRAY, "wideband": {"n_subcarriers": 20}})
         config_from_dict({"experiment": "wideband", **TINY_WIDEBAND})
+
+    def test_wideband_slopes_non_negative(self):
+        # a negative bound would reach the kernel draw as an empty uniform range
+        for key in ("mag_slope_max", "phase_slope_max"):
+            with pytest.raises(ConfigError, match="must be >= 0"):
+                config_from_dict({"experiment": "wideband", "array": TINY_ARRAY,
+                                  "wideband": {"n_subcarriers": 50, key: -1e-5}})
 
     def test_every_experiment_has_a_runner_and_a_section(self):
         # the active section is looked up by the experiment's name
@@ -216,12 +230,14 @@ class TestRunners:
                 run_experiment(config_from_dict({**payload, **overrides}))
                 assert opened == ([] if workers == 1 else [min(workers, tasks)]), (experiment, workers)
 
-    @pytest.mark.parametrize("experiment", ["crlb-map", "reduced-set", "mse-sweep"])
+    @pytest.mark.parametrize(
+        "experiment", ["crlb-map", "reduced-set", "mse-sweep", "convergence", "capacity", "wideband"]
+    )
     def test_matches_golden_csv(self, tmp_path, experiment):
         golden = GOLDEN_DIR / experiment
         payload = json.loads((golden / "config.json").read_text())
         manifest = run_experiment(config_from_dict({**payload, "out_dir": str(tmp_path)}))
-        assert manifest.outputs == sorted(p.name for p in golden.glob("*.csv"))
+        assert sorted(manifest.outputs) == sorted(p.name for p in golden.glob("*.csv"))
         for name in manifest.outputs:
             expected, got = read_csv(golden / name), read_csv(tmp_path / name)
             assert len(got) == len(expected) and list(got[0]) == list(expected[0]), name
@@ -232,6 +248,18 @@ class TestRunners:
                         assert have[column] == text, (name, row, column)
                     else:
                         assert math.isclose(float(have[column]), float(text), rel_tol=rel), (name, row, column)
+
+    def test_failed_run_writes_no_csv(self, tmp_path, monkeypatch):
+        # the KS tests run after the spectra and fits are computed; their
+        # failure must leave none of the three tables behind
+        def fail(*args, **kwargs):
+            raise RuntimeError("KS test failed")
+
+        monkeypatch.setattr(experiments, "ks_gaussianity", fail)
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError, match="KS test failed"):
+            run_experiment(config_from_dict({"experiment": "wideband", "out_dir": str(out), **TINY_WIDEBAND}))
+        assert not list(out.glob("*"))
 
     def test_different_seeds_differ(self, tmp_path):
         run_experiment(tiny_mse_config(tmp_path / "s1", seed=1))
@@ -414,6 +442,18 @@ class TestCli:
         payload = json.loads(result.stderr)
         assert payload["type"] == "ConfigError"
         assert "array.rows" in payload["error"]
+
+    def test_non_finite_number_gives_error_json(self, tmp_path):
+        # Python's json reads the literal NaN; the config must refuse it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"capacity": {"dl_noise_db": NaN}}')
+        out = tmp_path / "out"
+        result = self.run_cli("capacity", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 1
+        payload = json.loads(result.stderr)
+        assert payload["type"] == "ConfigError"
+        assert "capacity.dl_noise_db" in payload["error"]
+        assert not out.exists()
 
     def test_integer_and_float_json_write_same_bytes(self, tmp_path):
         # -60 and -60.0 configure the same run: same CSV bytes, same config echo
