@@ -43,6 +43,15 @@ class ConfigError(ValueError):
     """A configuration file failed validation."""
 
 
+def _check_db(name: str, *values: float) -> None:
+    """Refuse dB values whose linear value overflows a float (those above about 3082 dB)."""
+    for value in values:
+        try:
+            db_to_linear(value)
+        except OverflowError:
+            raise ConfigError(f"{name} must be at most about 3082 dB, got {value!r}") from None
+
+
 @dataclass
 class ArraySection:
     rows: int = 4
@@ -120,6 +129,7 @@ class MseSweepSection:
     def validate(self, array: ArraySection) -> None:
         if not self.n0_grid_db:
             raise ConfigError("n0_grid_db must not be empty")
+        _check_db("mse_sweep.n0_grid_db", *self.n0_grid_db)
         if not self.antennas:
             raise ConfigError("at least one antenna must be tracked")
         for a in self.antennas:
@@ -137,6 +147,7 @@ class ConvergenceSection:
     track_iterations: int = 50
 
     def validate(self, array: ArraySection) -> None:
+        _check_db("convergence.n0_db", self.n0_db)
         if self.track_iterations < 1:
             raise ConfigError("track_iterations must be >= 1")
 
@@ -153,6 +164,8 @@ class CapacitySection:
     def validate(self, array: ArraySection) -> None:
         if not (1 <= self.n_users <= array.n_antennas):
             raise ConfigError(f"n_users must lie in 1..{array.n_antennas}, got {self.n_users}")
+        _check_db("capacity.cal_n0_db", self.cal_n0_db)
+        _check_db("capacity.dl_noise_db", self.dl_noise_db)
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ConfigError(f"unknown capacity variants: {sorted(unknown)}")
@@ -181,6 +194,7 @@ class WidebandSection:
             raise ConfigError(f"need at least {KS_MIN_SAMPLES} subcarriers for the KS tests, got {self.n_subcarriers}")
         if self.realizations < 2:
             raise ConfigError("wideband experiment needs at least two realizations")
+        _check_db("wideband.n0_db", self.n0_db)
         if len(self.offset_range) != 2 or not (0 < self.offset_range[0] <= self.offset_range[1]):
             raise ConfigError("offset_range must be [lo, hi] with 0 < lo <= hi")
         if self.mag_slope_max < 0 or self.phase_slope_max < 0:
@@ -196,6 +210,7 @@ class CrlbMapSection:
     def validate(self, array: ArraySection) -> None:
         if not self.n0_grid_db:
             raise ConfigError("n0_grid_db must not be empty")
+        _check_db("crlb_map.n0_grid_db", *self.n0_grid_db)
 
 
 @dataclass
@@ -206,6 +221,7 @@ class ReducedSetSection:
     def validate(self, array: ArraySection) -> None:
         if self.radius <= 0:
             raise ConfigError("radius must be positive")
+        _check_db("reduced_set.n0_db", self.n0_db)
 
 
 @dataclass
@@ -237,6 +253,7 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        _check_db("coupling.sigma2_db", self.coupling.sigma2_db)
         self.array.validate()
         self.frontend.validate()
         self.estimator.validate()

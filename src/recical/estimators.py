@@ -115,8 +115,10 @@ def moment_matrix(data: SoundingData) -> np.ndarray:
     |y[n, m] c_n - y[m, n] c_m|^2 to the quadratic form.
     """
     _, y = _masked_measurements(data)
-    q = np.diag(np.sum(np.abs(y) ** 2, axis=1)).astype(complex)
-    q -= np.conj(y) * y.T
+    q = np.conj(y)
+    q *= y.T
+    np.subtract(0.0, q, out=q)  # 0 - x, not -x: unmeasured pairs stay +0
+    q[np.diag_indices_from(q)] += np.sum(np.abs(y) ** 2, axis=1)
     return q
 
 

@@ -11,13 +11,14 @@ Each runner maps a config to its tables, ``{csv name: (header, rows)}``.
 :func:`run_experiment` writes the tables and the manifest only after the
 whole computation has succeeded, so a run that raises leaves no CSV behind.
 
-A run opens at most one worker pool.  Every independent unit of work is one
-(point, trial) task mapped over it: the points are the noise levels of
-mse-sweep, the epsilons of convergence, and the one calibration or sounding
-noise of capacity and wideband, whose trials are the realizations.  Results
-are reduced in task order and floats are written with shortest round-trip
-formatting, so a fixed seed gives byte-identical CSV files no matter how
-many workers run.
+A run opens at most one worker pool, and every task mapped over it is one
+trial (a realization, in wideband).  A trial draws its channel once and
+covers all of its noise levels (mse-sweep) or epsilons (convergence): each
+level is sounded from the stream position right after the channel draw, so
+it sees the draws a freshly seeded trial stream would give it alone.
+Results are reduced in trial order and floats are written with shortest
+round-trip formatting, so a fixed seed gives byte-identical CSV files no
+matter how many workers run.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import __version__
 from .config import EXPERIMENT_IDS, ExperimentConfig, db_to_linear
 from .crlb import CrlbInputs, crlb_coefficients
 from .downlink import PRECODERS, capacity_trial
-from .estimators import CalibrationEstimate, EmSettings, em_calibrate, gmm_estimate, score_mse
+from .estimators import UNIT_NORM, CalibrationEstimate, EmSettings, em_calibrate, gmm_estimate, score_mse
 from .frontend import FrontEnd, deterministic_frontend, random_frontend, true_coefficients
 from .geometry import ArrayGeometry, CouplingModel, build_geometry, draw_channel, draw_coupling, full_mask, reduced_mask
 from .sounding import sound
@@ -166,22 +167,18 @@ def _init_worker(ctx) -> None:
     _CTX = ctx
 
 
-def _run_trials(worker, ctx, points: list, trials: int) -> list[list]:
-    """``worker((point, trial))`` for every trial at every point, results grouped per point.
+def _run_trials(worker, ctx, trials: int) -> list:
+    """``worker(t)`` for every trial ``t``, results in trial order.
 
-    Tasks run in order here, or in the run's one pool of at most one worker
-    per task (``ctx.config.workers`` at most).
+    Trials run in order here, or in the run's one pool of at most one worker
+    per trial (``ctx.config.workers`` at most).
     """
-    tasks = [(point, t) for point in points for t in range(trials)]
-    workers = min(ctx.config.workers, len(tasks))
+    workers = min(ctx.config.workers, trials)
     if workers <= 1:
         _init_worker(ctx)
-        results = [worker(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,)) as ex:
-            chunk = max(1, len(tasks) // (8 * workers))
-            results = list(ex.map(worker, tasks, chunksize=chunk))
-    return [results[i : i + trials] for i in range(0, len(results), trials)]
+        return [worker(t) for t in range(trials)]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,)) as ex:
+        return list(ex.map(worker, range(trials), chunksize=max(1, trials // (8 * workers))))
 
 
 @dataclass
@@ -198,11 +195,18 @@ class _TrialContext:
     def trial_stream(self, t: int) -> np.random.Generator:
         return trial_rng(self.config.seed, self.config.experiment, t)
 
-    def sounding(self, n0: float, t: int):
-        """Trial ``t``'s channel draw around the coupling mean, sounded at noise ``n0``."""
+    def soundings(self, n0s: list[float], t: int):
+        """Trial ``t``'s channel, drawn once around the coupling mean, sounded at each noise in ``n0s``.
+
+        Every sounding starts from the stream position right after the
+        channel draw, so each one equals a sounding at that noise alone.
+        """
         rng = self.trial_stream(t)
         h = draw_channel(self.geometry, self.model, rng, coupling=self.coupling_mean)
-        return sound(h, self.frontend, n0, rng)
+        after_channel = rng.bit_generator.state
+        for n0 in n0s:
+            rng.bit_generator.state = after_channel
+            yield sound(h, self.frontend, n0, rng)
 
 
 def _context(config: ExperimentConfig) -> _TrialContext:
@@ -212,12 +216,16 @@ def _context(config: ExperimentConfig) -> _TrialContext:
     return _TrialContext(config, geom, model, fe, hbar)
 
 
-def _mse_trial(task: tuple[float, int]):
-    data = _CTX.sounding(*task)
+def _mse_trial(t: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The GMM and EM estimates of trial ``t`` at every noise point."""
     config = _CTX.config
-    gmm = gmm_estimate(data, config.estimator.gmm_constraint, ref=_CTX.frontend.ref)
-    em = em_calibrate(data, _em_settings(config))
-    return gmm.c_hat, em.c_hat
+    settings = _em_settings(config)
+    n0s = [db_to_linear(n0_db) for n0_db in config.mse_sweep.n0_grid_db]
+    return [
+        (gmm_estimate(data, config.estimator.gmm_constraint, ref=_CTX.frontend.ref).c_hat,
+         em_calibrate(data, settings).c_hat)
+        for data in _CTX.soundings(n0s, t)
+    ]
 
 
 def run_mse_sweep(config: ExperimentConfig) -> Tables:
@@ -234,7 +242,8 @@ def run_mse_sweep(config: ExperimentConfig) -> Tables:
     # mmap pages, in the pool's forked workers too (trials first took 6x the
     # minor page faults and 7% longer at M=100)
     bounds = [[crlb_coefficients(CrlbInputs(fe, hbar, sigma2, n0, m)).bound for m in (mask, rmask)] for n0 in n0s]
-    per_point = _run_trials(_mse_trial, ctx, n0s, config.trials)
+    # per point, the trials' results in trial order
+    per_point = zip(*_run_trials(_mse_trial, ctx, config.trials))
 
     rows = []
     for n0_db, (bound, bound_r), results in zip(config.mse_sweep.n0_grid_db, bounds, per_point):
@@ -249,38 +258,48 @@ def run_mse_sweep(config: ExperimentConfig) -> Tables:
     return {"mse_sweep.csv": (["n0_db", "antenna", "method", "mse_db", "crlb_db", "crlb_reduced_db", "trials"], rows)}
 
 
-def _convergence_trial(task: tuple[float, int]) -> np.ndarray:
-    """Rows of EM's per-iteration MSE and step over the tracked iterations; a converged run holds its final values."""
-    eps, t = task
+def _convergence_trial(t: int) -> list[np.ndarray]:
+    """Per epsilon, rows of EM's per-iteration MSE and step over the tracked iterations.
+
+    Every epsilon runs on the trial's one sounding from one unit-norm GMM
+    estimate, the start EM's default init computes; a converged run holds
+    its final values.
+    """
     ctx = _CTX
     config = ctx.config
-    settings = _em_settings(config, epsilon=eps)
-    settings.keep_history = True
-    history = em_calibrate(ctx.sounding(db_to_linear(config.convergence.n0_db), t), settings).history
-    track = config.convergence.track_iterations
+    (data,) = ctx.soundings([db_to_linear(config.convergence.n0_db)], t)
     ref = ctx.frontend.ref
+    init = gmm_estimate(data, UNIT_NORM, ref=ref).c_hat
+    track = config.convergence.track_iterations
     others = np.arange(ctx.geometry.n_antennas) != ref
-    coeffs = np.array(history.coefficients[:track])
-    errors = true_coefficients(ctx.frontend)[others] - coeffs[:, others] / coeffs[:, ref, None]
-    # one mean per row: a mean along axis 1 sums in another order
-    mse = [np.mean(np.abs(e) ** 2) for e in errors]
-    traces = np.stack([mse, history.deltas[:track]])
-    return np.pad(traces, ((0, 0), (0, track - traces.shape[1])), mode="edge")
+    c_others = true_coefficients(ctx.frontend)[others]
+    results = []
+    for eps in config.estimator.epsilon_grid:
+        settings = _em_settings(config, epsilon=eps)
+        settings.init = init
+        settings.keep_history = True
+        history = em_calibrate(data, settings).history
+        coeffs = np.array(history.coefficients[:track])
+        errors = c_others - coeffs[:, others] / coeffs[:, ref, None]
+        # one mean per row: a mean along axis 1 sums in another order
+        mse = [np.mean(np.abs(e) ** 2) for e in errors]
+        traces = np.stack([mse, history.deltas[:track]])
+        results.append(np.pad(traces, ((0, 0), (0, track - traces.shape[1])), mode="edge"))
+    return results
 
 
 def run_convergence(config: ExperimentConfig) -> Tables:
     """Per-iteration MSE and step size of the EM run for each regularization."""
-    epsilons = config.estimator.epsilon_grid
+    per_epsilon = zip(*_run_trials(_convergence_trial, _context(config), config.trials))
     rows = []
-    for eps, results in zip(epsilons, _run_trials(_convergence_trial, _context(config), epsilons, config.trials)):
+    for eps, results in zip(config.estimator.epsilon_grid, per_epsilon):
         # summed in trial order, so the bytes do not depend on the schedule
         mse, delta = sum(results) / len(results)
         rows += [(eps, i + 1, _db(m), d) for i, (m, d) in enumerate(zip(mse, delta))]
     return {"convergence.csv": (["epsilon", "iteration", "mse_db", "delta"], rows)}
 
 
-def _capacity_trial(task: tuple[float, int]):
-    cal_n0, t = task
+def _capacity_trial(t: int):
     ctx = _CTX
     config = ctx.config
     cap = config.capacity
@@ -288,7 +307,7 @@ def _capacity_trial(task: tuple[float, int]):
         ctx.geometry,
         ctx.model,
         ctx.frontend,
-        cal_n0,
+        db_to_linear(cap.cal_n0_db),
         cap.n_users,
         tuple(cap.variants),
         ctx.trial_stream(t),
@@ -303,7 +322,7 @@ def _capacity_trial(task: tuple[float, int]):
 def run_capacity(config: ExperimentConfig) -> Tables:
     """Sum-rate samples per calibration variant and precoder."""
     cap = config.capacity
-    (results,) = _run_trials(_capacity_trial, _context(config), [db_to_linear(cap.cal_n0_db)], config.trials)
+    results = _run_trials(_capacity_trial, _context(config), config.trials)
     rows = [
         (variant, precoder, t, rates[variant][precoder])
         for variant in cap.variants
@@ -313,11 +332,11 @@ def run_capacity(config: ExperimentConfig) -> Tables:
     return {"capacity.csv": (["variant", "precoder", "trial", "sum_rate_bits_per_hz"], rows)}
 
 
-def _wideband_realization(task: tuple[float, int]) -> np.ndarray:
-    n0, r = task
+def _wideband_realization(r: int) -> np.ndarray:
     ctx = _CTX
     return per_subcarrier_estimate(
-        ctx.truths[r], ctx.geometry, ctx.model, n0, ctx.frontend.ref, ctx.trial_stream(r),
+        ctx.truths[r], ctx.geometry, ctx.model, db_to_linear(ctx.config.wideband.n0_db), ctx.frontend.ref,
+        ctx.trial_stream(r),
         em_settings=_em_settings(ctx.config),
     )
 
@@ -330,8 +349,7 @@ def run_wideband(config: ExperimentConfig) -> Tables:
     params = WidebandParams(tuple(wb.offset_range), wb.mag_slope_max, wb.phase_slope_max)
     truths = synth_wideband(geom.n_antennas, grid, params, wb.realizations, shared_rng(config.seed, config.experiment))
     ctx = _TrialContext(config, geom, model, fe, truths=truths)
-    (realizations,) = _run_trials(_wideband_realization, ctx, [db_to_linear(wb.n0_db)], wb.realizations)
-    estimates = np.stack(realizations)
+    estimates = np.stack(_run_trials(_wideband_realization, ctx, wb.realizations))
 
     spectra_rows = [
         (m + 1, i + 1, lam / res.eigenvalues[0])

@@ -10,10 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recical import experiments
 from recical.config import EXPERIMENT_IDS, ConfigError, ExperimentConfig, config_from_dict, default_config, load_config
 from recical.experiments import run_experiment
+from recical.geometry import draw_channel
+from recical.sounding import sound
 
 
 def tiny_mse_config(out_dir, **overrides):
@@ -118,11 +122,25 @@ class TestConfig:
             ({"wideband": {"mag_slope_max": float("nan")}}, "wideband.mag_slope_max"),
             ({"estimator": {"epsilon_grid": [0.1, float("inf")]}}, "estimator.epsilon_grid"),
             ({"array": {"spacing": 10**400}}, "array.spacing"),
+            # dB values whose linear value, 10 ** (dB / 10), overflows a float
+            ({"coupling": {"sigma2_db": 3100.0}}, "coupling.sigma2_db"),
+            ({"mse_sweep": {"n0_grid_db": [-80.0, 3100.0]}}, "mse_sweep.n0_grid_db"),
+            ({"experiment": "convergence", "convergence": {"n0_db": 4000}}, "convergence.n0_db"),
+            ({"experiment": "capacity", "capacity": {"cal_n0_db": 4000}}, "capacity.cal_n0_db"),
+            ({"experiment": "capacity", "capacity": {"dl_noise_db": 1e300}}, "capacity.dl_noise_db"),
+            ({"experiment": "wideband", "wideband": {"n0_db": 3083.0}}, "wideband.n0_db"),
+            ({"experiment": "crlb-map", "crlb_map": {"n0_grid_db": [5000.0]}}, "crlb_map.n0_grid_db"),
+            ({"experiment": "reduced-set", "reduced_set": {"n0_db": 3500.0}}, "reduced_set.n0_db"),
         ],
     )
     def test_wrong_json_type_rejected(self, payload, field):
         with pytest.raises(ConfigError, match=rf"^{field} must be "):
             config_from_dict(payload)
+
+    def test_db_values_within_float_range_accepted(self):
+        # the largest whole dB value still converts; a very negative one converts to zero
+        cfg = config_from_dict({"coupling": {"sigma2_db": 3082}, "mse_sweep": {"n0_grid_db": [-4000.0, 3082.0]}})
+        assert cfg.coupling.sigma2_db == 3082.0
 
     def test_json_types_that_fit_accepted(self):
         cfg = config_from_dict(
@@ -204,8 +222,8 @@ class TestRunners:
             assert outputs[0] == outputs[1], experiment
 
     def test_one_pool_per_run(self, tmp_path, monkeypatch):
-        # every (point, trial) task and every realization goes through the
-        # run's one pool, which never has more workers than tasks
+        # every trial and every realization is one task of the run's one
+        # pool, which never has more workers than tasks
         opened = []
 
         class CountingPool(experiments.ProcessPoolExecutor):
@@ -217,9 +235,9 @@ class TestRunners:
         # overrides and the task count of each run
         runs = {
             "mse-sweep": ({"trials": 2, "array": TINY_ARRAY,
-                           "mse_sweep": {"n0_grid_db": [-80.0, -40.0], "antennas": [1, 2]}}, 4),
+                           "mse_sweep": {"n0_grid_db": [-80.0, -40.0], "antennas": [1, 2]}}, 2),
             "convergence": ({"trials": 2, "array": TINY_ARRAY, "estimator": {"epsilon_grid": [0.0, 0.1]},
-                             "convergence": {"track_iterations": 3}}, 4),
+                             "convergence": {"track_iterations": 3}}, 2),
             "wideband": (TINY_WIDEBAND, 3),
         }
         for experiment, (overrides, tasks) in runs.items():
@@ -260,6 +278,31 @@ class TestRunners:
         with pytest.raises(RuntimeError, match="KS test failed"):
             run_experiment(config_from_dict({"experiment": "wideband", "out_dir": str(out), **TINY_WIDEBAND}))
         assert not list(out.glob("*"))
+
+    @settings(max_examples=5)  # each example forks a pool
+    @given(
+        experiment=st.sampled_from(["mse-sweep", "convergence"]),
+        trials=st.integers(1, 4),
+        points=st.integers(1, 3),
+        cols=st.integers(2, 5),
+        kind=st.sampled_from(["deterministic", "random"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_worker_count_keeps_bytes(self, tmp_path, experiment, trials, points, cols, kind, seed):
+        """One and two workers write the same bytes for small random mse-sweep and convergence runs."""
+        payload = {
+            "experiment": experiment, "seed": seed, "trials": trials, "frontend": {"kind": kind},
+            "array": {"rows": 2, "cols": cols, "ref": 1},
+            "mse_sweep": {"n0_grid_db": [-80.0, -60.0, -40.0][:points], "antennas": [2]},
+            "estimator": {"epsilon_grid": [0.0, 0.01, 0.1][:points]},
+            "convergence": {"track_iterations": 5},
+        }
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"{experiment}-{trials}-{points}-{cols}-{kind}-{seed}-{workers}"
+            manifest = run_experiment(config_from_dict({**payload, "workers": workers, "out_dir": str(out)}))
+            outputs.append({name: (out / name).read_bytes() for name in manifest.outputs})
+        assert outputs[0] == outputs[1]
 
     def test_different_seeds_differ(self, tmp_path):
         run_experiment(tiny_mse_config(tmp_path / "s1", seed=1))
@@ -396,6 +439,27 @@ class TestSeeding:
                     for state in states:
                         assert not drawn & first_draws(state), (seed, experiment, role)
 
+    @given(
+        cols=st.integers(2, 4),
+        levels_db=st.lists(st.integers(-100, -30), min_size=1, max_size=4),
+        spread=st.sampled_from([0.0, 0.1, 0.5]),
+        trial=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_trial_soundings_match_fresh_streams(self, cols, levels_db, spread, trial, seed):
+        """A trial draws its channel once, yet each level's sounding is the one a freshly seeded trial stream gives."""
+        config = config_from_dict({"experiment": "convergence", "seed": seed,
+                                   "array": {"rows": 2, "cols": cols, "ref": 1},
+                                   "frontend": {"kind": "random", "spread": spread}})
+        ctx = experiments._context(config)
+        n0s = [10.0 ** (db / 10.0) for db in levels_db]
+        for n0, data in zip(n0s, ctx.soundings(n0s, trial), strict=True):
+            rng = experiments.trial_rng(seed, "convergence", trial)
+            h = draw_channel(ctx.geometry, ctx.model, rng, coupling=ctx.coupling_mean)
+            fresh = sound(h, ctx.frontend, n0, rng)
+            assert data.matrix.tobytes() == fresh.matrix.tobytes()
+            assert data.noise_var == fresh.noise_var
+
 
 class TestCli:
     def run_cli(self, *args):
@@ -453,6 +517,25 @@ class TestCli:
         payload = json.loads(result.stderr)
         assert payload["type"] == "ConfigError"
         assert "capacity.dl_noise_db" in payload["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, payload, field",
+        [
+            ("capacity", {"capacity": {"cal_n0_db": 4000}}, "capacity.cal_n0_db"),
+            ("mse-sweep", {"mse_sweep": {"n0_grid_db": [3100.0]}}, "mse_sweep.n0_grid_db"),
+        ],
+    )
+    def test_huge_db_value_gives_error_json(self, tmp_path, experiment, payload, field):
+        # 10 ** (dB / 10) overflows: refused before any output directory is made
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        result = self.run_cli(experiment, "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 1
+        payload = json.loads(result.stderr)
+        assert payload["type"] == "ConfigError"
+        assert field in payload["error"]
         assert not out.exists()
 
     def test_integer_and_float_json_write_same_bytes(self, tmp_path):
