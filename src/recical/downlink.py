@@ -4,6 +4,9 @@ The base station applies the estimated calibration coefficients to the known
 uplink radio channel to obtain the precoding matrix input G; a zero-forcing
 or maximum-ratio precoder built from G then serves K single-antenna users.
 Sum rates treat inter-user interference as noise.
+
+This module holds scenarios, precoders and sum rates only; the capacity
+trial that sounds, calibrates and scores runs in :mod:`recical.experiments`.
 """
 
 from __future__ import annotations
@@ -12,10 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EmSettings, em_calibrate, gmm_estimate
-from .frontend import FrontEnd, true_coefficients
-from .geometry import ArrayGeometry, CouplingModel, draw_channel
-from .sounding import sound
+from .frontend import FrontEnd
 
 UNCALIBRATED = "uncalibrated"
 GMM_VARIANT = "gmm"
@@ -143,54 +143,4 @@ def variant_sum_rates(scenario: DownlinkScenario, coefficients: dict[str, np.nda
             p = zf_precoder(g, scenario.power) if kind == ZF else mrt_precoder(g, scenario.power)
             rates[variant][kind] = sum_rate(scenario.h_dl, p, scenario.noise_var)
     return rates
-
-
-def capacity_trial(
-    geom: ArrayGeometry,
-    coupling: CouplingModel,
-    frontend: FrontEnd,
-    cal_noise_var: float,
-    n_users: int,
-    variants: tuple[str, ...],
-    rng: np.random.Generator,
-    coupling_mean: np.ndarray | None = None,
-    em_settings: EmSettings | None = None,
-    gmm_constraint: str = "unit-norm",
-    dl_noise_var: float = 1.0,
-    reciprocal_users: bool = True,
-) -> dict[str, dict[str, float]]:
-    """One Monte-Carlo trial: sound, calibrate, precode, and score each variant.
-
-    The GMM variant defaults to the unit-norm constraint, whose estimate
-    stays usable in the mid-SNR region where the reference-pinned solve
-    degrades; either way the coefficients are re-normalized to the reference
-    before precoding.
-    """
-    unknown = set(variants) - set(VARIANTS)
-    if unknown:
-        raise ValueError(f"unknown capacity variants: {sorted(unknown)}")
-    c_true = true_coefficients(frontend)
-    M = geom.n_antennas
-    coefficients: dict[str, np.ndarray] = {}
-    if {GMM_VARIANT, EM_VARIANT} & set(variants):
-        h = draw_channel(geom, coupling, rng, coupling=coupling_mean)
-        data = sound(h, frontend, cal_noise_var, rng)
-        if GMM_VARIANT in variants:
-            gmm = gmm_estimate(data, gmm_constraint, ref=frontend.ref)
-            coefficients[GMM_VARIANT] = gmm.c_hat / gmm.c_hat[frontend.ref]
-        if EM_VARIANT in variants:
-            settings = em_settings or EmSettings(ref=frontend.ref)
-            em = em_calibrate(data, settings)
-            coefficients[EM_VARIANT] = em.c_hat / em.c_hat[frontend.ref]
-    if UNCALIBRATED in variants:
-        coefficients[UNCALIBRATED] = np.ones(M, dtype=complex)
-    if PERFECT in variants:
-        coefficients[PERFECT] = c_true
-    if TRUE_CSI in variants:
-        coefficients[TRUE_CSI] = c_true  # ignored; kept for uniform bookkeeping
-    scenario = draw_scenario(
-        frontend, n_users, rng, noise_var=dl_noise_var, reciprocal_users=reciprocal_users
-    )
-    ordered = {v: coefficients[v] for v in variants}
-    return variant_sum_rates(scenario, ordered)
 

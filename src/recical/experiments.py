@@ -8,14 +8,18 @@ from its own child of the shared sequence, so it never reuses the coupling
 or kernel draws.
 
 Each runner maps a config to its tables, ``{csv name: (header, rows)}``.
-:func:`run_experiment` writes the tables and the manifest only after the
-whole computation has succeeded, so a run that raises leaves no CSV behind.
+:func:`run_experiment` makes the output directory and writes the tables and
+the manifest only after the whole computation has succeeded, so a run that
+raises leaves nothing behind.
 
 A run opens at most one worker pool, and every task mapped over it is one
-trial (a realization, in wideband).  A trial draws its channel once and
-covers all of its noise levels (mse-sweep) or epsilons (convergence): each
-level is sounded from the stream position right after the channel draw, so
-it sees the draws a freshly seeded trial stream would give it alone.
+trial (a realization, in wideband).  The mse-sweep, convergence and capacity
+trials share one sounding step: a trial draws its channel once and covers
+all of its noise levels (mse-sweep) or epsilons (convergence), each level
+sounded from the stream position right after the channel draw, so it sees
+the draws a freshly seeded trial stream would give it alone.  A capacity
+trial sounds once, when a calibrating variant asks for it, and then draws
+its downlink scenario from the same stream.
 Results are reduced in trial order and floats are written with shortest
 round-trip formatting, so a fixed seed gives byte-identical CSV files no
 matter how many workers run.
@@ -34,8 +38,8 @@ import numpy as np
 
 from . import __version__
 from .config import EXPERIMENT_IDS, ExperimentConfig, db_to_linear
-from .crlb import CrlbInputs, crlb_coefficients
-from .downlink import PRECODERS, capacity_trial
+from .crlb import CrlbInputs, CrlbReport, crlb_coefficients
+from .downlink import EM_VARIANT, GMM_VARIANT, PERFECT, PRECODERS, TRUE_CSI, UNCALIBRATED, draw_scenario, variant_sum_rates
 from .estimators import UNIT_NORM, CalibrationEstimate, EmSettings, em_calibrate, gmm_estimate, score_mse
 from .frontend import FrontEnd, deterministic_frontend, random_frontend, true_coefficients
 from .geometry import ArrayGeometry, CouplingModel, build_geometry, draw_channel, draw_coupling, full_mask, reduced_mask
@@ -195,18 +199,22 @@ class _TrialContext:
     def trial_stream(self, t: int) -> np.random.Generator:
         return trial_rng(self.config.seed, self.config.experiment, t)
 
-    def soundings(self, n0s: list[float], t: int):
-        """Trial ``t``'s channel, drawn once around the coupling mean, sounded at each noise in ``n0s``.
+    def soundings(self, n0s: list[float], rng: np.random.Generator):
+        """A channel drawn from ``rng`` once around the coupling mean, sounded at each noise in ``n0s``.
 
         Every sounding starts from the stream position right after the
-        channel draw, so each one equals a sounding at that noise alone.
+        channel draw, so each one equals a sounding at that noise alone, and
+        the last leaves ``rng`` where that sounding alone would.
         """
-        rng = self.trial_stream(t)
         h = draw_channel(self.geometry, self.model, rng, coupling=self.coupling_mean)
         after_channel = rng.bit_generator.state
         for n0 in n0s:
             rng.bit_generator.state = after_channel
             yield sound(h, self.frontend, n0, rng)
+
+    def bound(self, n0: float, mask: np.ndarray) -> CrlbReport:
+        """The Cramer-Rao bound at noise ``n0`` over the pairs in ``mask``."""
+        return crlb_coefficients(CrlbInputs(self.frontend, self.coupling_mean, self.model.sigma2, n0, mask))
 
 
 def _context(config: ExperimentConfig) -> _TrialContext:
@@ -224,14 +232,14 @@ def _mse_trial(t: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return [
         (gmm_estimate(data, config.estimator.gmm_constraint, ref=_CTX.frontend.ref).c_hat,
          em_calibrate(data, settings).c_hat)
-        for data in _CTX.soundings(n0s, t)
+        for data in _CTX.soundings(n0s, _CTX.trial_stream(t))
     ]
 
 
 def run_mse_sweep(config: ExperimentConfig) -> Tables:
     """Per-antenna MSE of both estimators against the bound over a noise grid."""
     ctx = _context(config)
-    geom, fe, hbar, sigma2 = ctx.geometry, ctx.frontend, ctx.coupling_mean, ctx.model.sigma2
+    geom, fe = ctx.geometry, ctx.frontend
     c_true = true_coefficients(fe)
     ref = fe.ref
     mask = full_mask(geom.n_antennas)
@@ -241,7 +249,7 @@ def run_mse_sweep(config: ExperimentConfig) -> Tables:
     # mmap threshold, which keeps the trials' M x M temporaries off fresh
     # mmap pages, in the pool's forked workers too (trials first took 6x the
     # minor page faults and 7% longer at M=100)
-    bounds = [[crlb_coefficients(CrlbInputs(fe, hbar, sigma2, n0, m)).bound for m in (mask, rmask)] for n0 in n0s]
+    bounds = [[ctx.bound(n0, m).bound for m in (mask, rmask)] for n0 in n0s]
     # per point, the trials' results in trial order
     per_point = zip(*_run_trials(_mse_trial, ctx, config.trials))
 
@@ -267,7 +275,7 @@ def _convergence_trial(t: int) -> list[np.ndarray]:
     """
     ctx = _CTX
     config = ctx.config
-    (data,) = ctx.soundings([db_to_linear(config.convergence.n0_db)], t)
+    (data,) = ctx.soundings([db_to_linear(config.convergence.n0_db)], ctx.trial_stream(t))
     ref = ctx.frontend.ref
     init = gmm_estimate(data, UNIT_NORM, ref=ref).c_hat
     track = config.convergence.track_iterations
@@ -299,24 +307,32 @@ def run_convergence(config: ExperimentConfig) -> Tables:
     return {"convergence.csv": (["epsilon", "iteration", "mse_db", "delta"], rows)}
 
 
-def _capacity_trial(t: int):
+def _capacity_trial(t: int) -> dict[str, dict[str, float]]:
+    """Trial ``t``'s sum rate for every variant and precoder.
+
+    The trial's stream draws the channel and sounds it, only when a
+    calibrating variant asks for it, then draws the downlink scenario.  The
+    GMM and EM estimates are normalized to the reference before precoding.
+    """
     ctx = _CTX
-    config = ctx.config
-    cap = config.capacity
-    return capacity_trial(
-        ctx.geometry,
-        ctx.model,
-        ctx.frontend,
-        db_to_linear(cap.cal_n0_db),
-        cap.n_users,
-        tuple(cap.variants),
-        ctx.trial_stream(t),
-        coupling_mean=ctx.coupling_mean,
-        em_settings=_em_settings(config),
-        gmm_constraint=cap.gmm_constraint,
-        dl_noise_var=db_to_linear(cap.dl_noise_db),
-        reciprocal_users=cap.reciprocal_users,
+    cap = ctx.config.capacity
+    ref = ctx.frontend.ref
+    rng = ctx.trial_stream(t)
+    c_true = true_coefficients(ctx.frontend)
+    # the true-CSI baseline precodes on the downlink channel and ignores its entry
+    coefficients = {UNCALIBRATED: np.ones_like(c_true), PERFECT: c_true, TRUE_CSI: c_true}
+    if {GMM_VARIANT, EM_VARIANT} & set(cap.variants):
+        (data,) = ctx.soundings([db_to_linear(cap.cal_n0_db)], rng)
+        estimates = {}
+        if GMM_VARIANT in cap.variants:
+            estimates[GMM_VARIANT] = gmm_estimate(data, cap.gmm_constraint, ref=ref).c_hat
+        if EM_VARIANT in cap.variants:
+            estimates[EM_VARIANT] = em_calibrate(data, _em_settings(ctx.config)).c_hat
+        coefficients.update({variant: c / c[ref] for variant, c in estimates.items()})
+    scenario = draw_scenario(
+        ctx.frontend, cap.n_users, rng, noise_var=db_to_linear(cap.dl_noise_db), reciprocal_users=cap.reciprocal_users
     )
+    return variant_sum_rates(scenario, {v: coefficients[v] for v in cap.variants})
 
 
 def run_capacity(config: ExperimentConfig) -> Tables:
@@ -378,11 +394,11 @@ def run_wideband(config: ExperimentConfig) -> Tables:
 def run_crlb_map(config: ExperimentConfig) -> Tables:
     """Per-antenna bound across the noise grid (full measurement set)."""
     ctx = _context(config)
-    geom, fe, hbar, sigma2 = ctx.geometry, ctx.frontend, ctx.coupling_mean, ctx.model.sigma2
+    geom, fe = ctx.geometry, ctx.frontend
     mask = full_mask(geom.n_antennas)
     rows = []
     for n0_db in config.crlb_map.n0_grid_db:
-        report = crlb_coefficients(CrlbInputs(fe, hbar, sigma2, db_to_linear(n0_db), mask))
+        report = ctx.bound(db_to_linear(n0_db), mask)
         for m in range(geom.n_antennas):
             if m == fe.ref:
                 continue
@@ -393,12 +409,10 @@ def run_crlb_map(config: ExperimentConfig) -> Tables:
 def run_reduced_set(config: ExperimentConfig) -> Tables:
     """Bound inflation when only short-range pairs are measured."""
     ctx = _context(config)
-    geom, fe, hbar, sigma2 = ctx.geometry, ctx.frontend, ctx.coupling_mean, ctx.model.sigma2
+    geom, fe = ctx.geometry, ctx.frontend
     n0 = db_to_linear(config.reduced_set.n0_db)
-    full = crlb_coefficients(CrlbInputs(fe, hbar, sigma2, n0, full_mask(geom.n_antennas))).bound
-    reduced = crlb_coefficients(
-        CrlbInputs(fe, hbar, sigma2, n0, reduced_mask(geom, config.reduced_set.radius))
-    ).bound
+    full = ctx.bound(n0, full_mask(geom.n_antennas)).bound
+    reduced = ctx.bound(n0, reduced_mask(geom, config.reduced_set.radius)).bound
     rows = []
     for m in range(geom.n_antennas):
         if m == fe.ref:
@@ -420,14 +434,14 @@ _RUNNERS = {
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunManifest:
     """Run one experiment end to end, then write its CSVs plus a manifest.
 
-    Nothing is written until the whole computation has succeeded, so a run
-    that raises leaves no CSV behind.
+    Nothing is written, not even the output directory, until the whole
+    computation has succeeded, so a run that raises leaves nothing behind.
     """
     config.validate()
     out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     tables = _RUNNERS[config.experiment](config)
+    out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         write_csv(out / name, header, rows)
     manifest = RunManifest(

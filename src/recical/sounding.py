@@ -23,7 +23,6 @@ class SoundingData:
     matrix: np.ndarray      # (M, M) complex, NaN outside the mask
     mask: np.ndarray        # (M, M) bool, ordered pairs actually measured
     noise_var: float
-    amplitude: float = 1.0
 
     @property
     def n_antennas(self) -> int:
@@ -40,7 +39,6 @@ def sound(
     noise_var: float,
     rng: np.random.Generator,
     mask: np.ndarray | None = None,
-    amplitude: float = 1.0,
 ) -> SoundingData:
     """Measure the masked ordered pairs of the array once.
 
@@ -59,9 +57,9 @@ def sound(
         raise ValueError("mask must not include diagonal (self) pairs")
     scale = np.sqrt(noise_var / 2.0)
     noise = scale * (rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
-    clean = frontend.rx[:, None] * channel * frontend.tx[None, :] * amplitude
+    clean = frontend.rx[:, None] * channel * frontend.tx[None, :]
     y = np.where(mask, clean + noise, np.nan + 1j * np.nan)
-    return SoundingData(y, mask.copy(), noise_var, amplitude)
+    return SoundingData(y, mask.copy(), noise_var)
 
 
 def equivalent_channel(channel: np.ndarray, frontend: FrontEnd) -> np.ndarray:

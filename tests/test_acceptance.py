@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from oracles import finite_difference_worst_error, random_crlb_instance
 
+from recical.config import config_from_dict
 from recical.crlb import CrlbInputs, crlb_coefficients
-from recical.downlink import capacity_trial
 from recical.estimators import (
     EmSettings,
     em_calibrate,
@@ -26,6 +26,7 @@ from recical.estimators import (
     linear_array_ml,
     score_mse,
 )
+from recical.experiments import run_capacity
 from recical.frontend import deterministic_frontend, random_frontend, true_coefficients
 from recical.geometry import (
     CouplingModel,
@@ -204,18 +205,17 @@ def test_05_linear_array_oracle():
     assert worst < 1e-8
 
 
-def test_06_capacity_ordering(setup):
-    geom, fe, c_true, hbar = setup
+def test_06_capacity_ordering():
+    # the default 4x25 array, reference 38 and coupling; calibration at
+    # N0 = -40 dB, 10 users
     variants = ("uncalibrated", "gmm", "em", "perfect", "true-downlink-csi")
-    rng = np.random.default_rng(600)
-    trials = [
-        capacity_trial(
-            geom, DEFAULT_COUPLING, fe, 1e-4, 10, variants, rng,
-            coupling_mean=hbar, em_settings=EmSettings(ref=REF),
-        )
-        for _ in range(1000)
-    ]
-    zf = {v: np.array([rates[v]["zf"] for rates in trials]) for v in variants}
+    config = config_from_dict({
+        "experiment": "capacity", "seed": 600, "trials": 1000,
+        "capacity": {"n_users": 10, "cal_n0_db": -40.0, "variants": list(variants)},
+    })
+    (_, rows), = run_capacity(config).values()
+    zf = {v: np.array([rate for variant, precoder, _, rate in rows if (variant, precoder) == (v, "zf")])
+          for v in variants}
     deciles = np.arange(0.1, 1.0, 0.1)
     q = {v: np.quantile(zf[v], deciles) for v in variants}
     ordered = (

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from recical.config import config_from_dict
 from recical.downlink import (
     DownlinkScenario,
     calibrated_downlink,
-    capacity_trial,
     draw_scenario,
     evm,
     mrt_precoder,
@@ -14,9 +14,8 @@ from recical.downlink import (
     variant_sum_rates,
     zf_precoder,
 )
-from recical.estimators import EmSettings
+from recical.experiments import run_capacity
 from recical.frontend import deterministic_frontend, random_frontend, true_coefficients
-from recical.geometry import build_geometry, draw_coupling
 
 
 def complex_gaussian(rng, shape):
@@ -175,33 +174,26 @@ class TestCapacityExperiment:
         assert rates["perfect"]["zf"] == pytest.approx(rates["true-downlink-csi"]["zf"], abs=1e-8)
         assert rates["perfect"]["mrt"] == pytest.approx(rates["true-downlink-csi"]["mrt"], abs=1e-8)
 
-    def test_estimated_variants_approach_perfect_at_vanishing_noise(self, coupling):
+    def test_estimated_variants_approach_perfect_at_vanishing_noise(self):
         # limit-behavior oracle: at N0 = -120 dB the estimator CDFs collapse
-        # onto the perfect-calibration CDF (Kolmogorov distance below 0.05)
-        geom = build_geometry(4, 25)
-        fe = deterministic_frontend(100, 37)
-        rng = np.random.default_rng(3)
-        hbar = draw_coupling(geom, coupling, rng)
-        trials = [
-            capacity_trial(
-                geom, coupling, fe, 1e-12, 10, ("gmm", "em", "perfect"), rng,
-                coupling_mean=hbar, em_settings=EmSettings(ref=37),
-            )
-            for _ in range(500)
-        ]
-        perfect = np.sort([rates["perfect"]["zf"] for rates in trials])
+        # onto the perfect-calibration CDF (Kolmogorov distance below 0.05);
+        # the default 4x25 array, reference 38 and coupling, 10 users
+        config = config_from_dict({
+            "experiment": "capacity", "seed": 3, "trials": 500,
+            "capacity": {"n_users": 10, "cal_n0_db": -120.0, "variants": ["gmm", "em", "perfect"]},
+        })
+        (_, rows), = run_capacity(config).values()
+
+        def zf_rates(variant):
+            return np.sort([rate for v, precoder, _, rate in rows if (v, precoder) == (variant, "zf")])
+
+        perfect = zf_rates("perfect")
         grid = np.linspace(perfect[0], perfect[-1], 400)
         for variant in ("gmm", "em"):
-            other = np.sort([rates[variant]["zf"] for rates in trials])
+            other = zf_rates(variant)
             f1 = np.searchsorted(perfect, grid, side="right") / perfect.size
             f2 = np.searchsorted(other, grid, side="right") / other.size
             assert np.abs(f1 - f2).max() < 0.05
-
-    def test_unknown_variant_rejected(self, coupling, rng):
-        geom = build_geometry(2, 3)
-        fe = deterministic_frontend(6, 0)
-        with pytest.raises(ValueError):
-            capacity_trial(geom, coupling, fe, 1e-6, 2, ("dirty-paper",), rng)
 
     def test_skipping_calibration_hurts_zf_more_than_mrt(self, rng):
         fe = deterministic_frontend(100, 37)

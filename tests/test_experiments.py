@@ -277,11 +277,11 @@ class TestRunners:
         out = tmp_path / "run"
         with pytest.raises(RuntimeError, match="KS test failed"):
             run_experiment(config_from_dict({"experiment": "wideband", "out_dir": str(out), **TINY_WIDEBAND}))
-        assert not list(out.glob("*"))
+        assert not out.exists()
 
     @settings(max_examples=5)  # each example forks a pool
     @given(
-        experiment=st.sampled_from(["mse-sweep", "convergence"]),
+        experiment=st.sampled_from(["mse-sweep", "convergence", "capacity"]),
         trials=st.integers(1, 4),
         points=st.integers(1, 3),
         cols=st.integers(2, 5),
@@ -289,13 +289,14 @@ class TestRunners:
         seed=st.integers(0, 2**16),
     )
     def test_worker_count_keeps_bytes(self, tmp_path, experiment, trials, points, cols, kind, seed):
-        """One and two workers write the same bytes for small random mse-sweep and convergence runs."""
+        """One and two workers write the same bytes for small random mse-sweep, convergence and capacity runs."""
         payload = {
             "experiment": experiment, "seed": seed, "trials": trials, "frontend": {"kind": kind},
             "array": {"rows": 2, "cols": cols, "ref": 1},
             "mse_sweep": {"n0_grid_db": [-80.0, -60.0, -40.0][:points], "antennas": [2]},
             "estimator": {"epsilon_grid": [0.0, 0.01, 0.1][:points]},
             "convergence": {"track_iterations": 5},
+            "capacity": {"n_users": points + 1},  # at most 4 users on at least 4 antennas
         }
         outputs = []
         for workers in (1, 2):
@@ -453,12 +454,15 @@ class TestSeeding:
                                    "frontend": {"kind": "random", "spread": spread}})
         ctx = experiments._context(config)
         n0s = [10.0 ** (db / 10.0) for db in levels_db]
-        for n0, data in zip(n0s, ctx.soundings(n0s, trial), strict=True):
+        stream = ctx.trial_stream(trial)
+        for n0, data in zip(n0s, ctx.soundings(n0s, stream), strict=True):
             rng = experiments.trial_rng(seed, "convergence", trial)
             h = draw_channel(ctx.geometry, ctx.model, rng, coupling=ctx.coupling_mean)
             fresh = sound(h, ctx.frontend, n0, rng)
             assert data.matrix.tobytes() == fresh.matrix.tobytes()
             assert data.noise_var == fresh.noise_var
+        # later draws of the trial continue where the last level's sounding alone leaves off
+        assert stream.bit_generator.state == rng.bit_generator.state
 
 
 class TestCli:

@@ -73,15 +73,6 @@ class TestSound:
         corr = np.abs(np.mean(a * np.conj(b))) / np.sqrt(np.mean(np.abs(a) ** 2) * np.mean(np.abs(b) ** 2))
         assert corr < 0.05
 
-    def test_amplitude_scales_measurements(self, coupling, rng):
-        geom = build_geometry(2, 3)
-        h = draw_channel(geom, coupling, rng)
-        fe = identity_frontend(6)
-        data1 = sound(h, fe, 0.0, rng, amplitude=1.0)
-        data3 = sound(h, fe, 0.0, rng, amplitude=3.0)
-        off = data1.mask
-        assert data3.matrix[off] == pytest.approx(3.0 * data1.matrix[off])
-
     def test_unmeasured_entries_are_nan(self, coupling, rng):
         geom = build_geometry(4, 5)
         h = draw_channel(geom, coupling, rng)
