@@ -159,8 +159,17 @@ def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]
     # S = s2 v v^H + n0 I has det S = n0 g and S v = g v with g = n0 + s2 |v|^2;
     # written this way nothing cancels when s2 |v|^2 >> n0
     s2, n0 = inputs.sigma2, inputs.noise_var
-    gain = n0 + s2 * (a2 + b2)
-    det = n0 * gain
+    with np.errstate(over="ignore"):
+        gain = n0 + s2 * (a2 + b2)
+        det = n0 * gain
+    if not (np.isfinite(gain).all() and np.isfinite(det).all()):
+        # det S is at least n0^2, which overflows past n0 of about 1.3e154;
+        # dividing by it would zero the information and fail the bound as if
+        # the mask were disconnected
+        raise ValueError(
+            f"noise_var = {n0:g} is too large for the Fisher information to be represented: "
+            "det S = n0 (n0 + sigma2 |v|^2) overflows"
+        )
     off = -s2 * v[0] * v[1].conj() / det
     sinv = np.array([[(s2 * b2 + n0) / det, off], [off.conj(), (s2 * a2 + n0) / det]])
     u = v / gain  # S^-1 v
@@ -224,10 +233,20 @@ def coefficient_jacobian(frontend: FrontEnd) -> np.ndarray:
 
 
 def crlb_coefficients(inputs: CrlbInputs) -> CrlbReport:
-    """Variance lower bound on every non-reference calibration coefficient."""
-    fim = fisher_information(inputs)
+    """Variance lower bound on every non-reference calibration coefficient.
+
+    The bound on c_m is j_m F^-1 j_m^H, where j_m = a + i b is row m of
+    :func:`coefficient_jacobian` and F the Fisher information.  F is real and
+    symmetric, so the cross terms i (b F^-1 a^T - a F^-1 b^T) cancel and the
+    bound is a F^-1 a^T + b F^-1 b^T.  With the Cholesky factor F = L L^T
+    each term is a squared norm, ||L^-1 a^T||^2 + ||L^-1 b^T||^2: one real
+    triangular solve with 2M right-hand sides gives every bound.
+    """
+    # one Fortran-ordered copy: the factorisation copies it and checks it is
+    # finite, and the eigensolve then works in it in place
+    fim = np.asfortranarray(fisher_information(inputs))
     try:
-        factor = scipy.linalg.cho_factor(fim)
+        chol, _ = scipy.linalg.cho_factor(fim, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise IdentifiabilityError(
             "the Fisher information is not positive definite; without unit "
@@ -236,10 +255,15 @@ def crlb_coefficients(inputs: CrlbInputs) -> CrlbReport:
             "convention"
         ) from exc
     jac = coefficient_jacobian(inputs.frontend)
-    solved = scipy.linalg.cho_solve(factor, jac.conj().T)
-    bound = np.einsum("md,dm->m", jac, solved).real
+    M = jac.shape[0]
+    # the columns [Re j_m ... | Im j_m ...], Fortran-ordered for the solve
+    whitened = scipy.linalg.solve_triangular(
+        chol, np.concatenate([jac.real, jac.imag]).T, lower=True, overwrite_b=True, check_finite=False
+    )
+    squared = np.einsum("dk,dk->k", whitened, whitened)
+    bound = squared[:M] + squared[M:]
     bound[inputs.frontend.ref] = np.nan
     # the connected mask and the Cholesky factorisation make the FIM positive
     # definite, so its singular values are its eigenvalues
-    eigs = scipy.linalg.eigvalsh(fim)
+    eigs = scipy.linalg.eigvalsh(fim, overwrite_a=True, check_finite=False)
     return CrlbReport(bound, inputs.frontend.ref, float(eigs[-1] / eigs[0]))

@@ -28,6 +28,7 @@ matter how many workers run.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -94,6 +95,7 @@ class RunManifest:
     wall_time_s: float
     outputs: list[str]
     seed_ledger: dict = field(default_factory=dict)
+    allocator: dict = field(default_factory=dict)
 
     def write(self, out_dir: Path) -> Path:
         path = out_dir / "manifest.json"
@@ -159,6 +161,45 @@ def _db(x: float) -> float:
 Tables = dict[str, tuple[list[str], list[tuple]]]
 
 
+# glibc's mallopt parameters (malloc.h) and the values the program runs with.
+# Left to glibc, the mmap threshold starts at 128 KiB and rises only as large
+# blocks are freed, so a large temporary (an M x M complex matrix is 640 KB
+# at M=200, the FIM 5 MB) may land on fresh pages, and an estimator's cost
+# depends on what ran before it in the process.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+ALLOCATOR_THRESHOLDS = {"mmap_threshold": 64 << 20, "trim_threshold": 256 << 20}
+
+
+def _mallopt():
+    """The C library's ``mallopt``, or None where it has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def set_allocator_thresholds() -> dict:
+    """Fix the allocator's mmap and trim thresholds in this process; what was applied.
+
+    Blocks below 64 MiB come from the heap and freed memory stays there up
+    to 256 MiB, so temporaries reuse pages already touched.  Where the C
+    library has no ``mallopt`` the allocator is left as it is.  No result
+    depends on it, only the time and the page faults.
+    """
+    mallopt = _mallopt()
+    if mallopt is None:
+        return {"mallopt": "skipped: the C library has no mallopt"}
+    status = [mallopt(_M_MMAP_THRESHOLD, ALLOCATOR_THRESHOLDS["mmap_threshold"]),
+              mallopt(_M_TRIM_THRESHOLD, ALLOCATOR_THRESHOLDS["trim_threshold"])]
+    if status != [1, 1]:
+        return {"mallopt": f"failed: returned {status}"}
+    return {"mallopt": "applied", **ALLOCATOR_THRESHOLDS}
+
+
 # ---------------------------------------------------------------------------
 # worker-pool plumbing: the context is installed once per worker process and
 # tasks are mapped in order so the reduction is schedule-independent
@@ -169,6 +210,7 @@ _CTX = None
 def _init_worker(ctx) -> None:
     global _CTX
     _CTX = ctx
+    set_allocator_thresholds()
 
 
 def _run_trials(worker, ctx, trials: int) -> list:
@@ -245,10 +287,6 @@ def run_mse_sweep(config: ExperimentConfig) -> Tables:
     mask = full_mask(geom.n_antennas)
     rmask = reduced_mask(geom, config.mse_sweep.reduced_radius)
     n0s = [db_to_linear(n0_db) for n0_db in config.mse_sweep.n0_grid_db]
-    # bounds before trials: their large temporaries raise glibc's dynamic
-    # mmap threshold, which keeps the trials' M x M temporaries off fresh
-    # mmap pages, in the pool's forked workers too (trials first took 6x the
-    # minor page faults and 7% longer at M=100)
     bounds = [[ctx.bound(n0, m).bound for m in (mask, rmask)] for n0 in n0s]
     # per point, the trials' results in trial order
     per_point = zip(*_run_trials(_mse_trial, ctx, config.trials))
@@ -440,6 +478,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     config.validate()
     out = Path(out_dir if out_dir is not None else config.out_dir)
     start = time.perf_counter()
+    allocator = set_allocator_thresholds()
     tables = _RUNNERS[config.experiment](config)
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
@@ -456,6 +495,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
             "experiment_id": EXPERIMENT_IDS[config.experiment],
             "master_seed": config.seed,
         },
+        allocator=allocator,
     )
     manifest.write(out)
     return manifest

@@ -1,8 +1,16 @@
 """Independent reference computations shared by the test modules."""
 
 import numpy as np
+import scipy.linalg
 
-from recical.crlb import PAIR_CHANNELS, CrlbInputs, pair_derivatives, pair_statistics
+from recical.crlb import (
+    PAIR_CHANNELS,
+    CrlbInputs,
+    coefficient_jacobian,
+    fisher_information,
+    pair_derivatives,
+    pair_statistics,
+)
 from recical.estimators import moment_matrix
 from recical.frontend import FrontEnd
 from recical.sounding import SoundingData
@@ -140,6 +148,20 @@ def scatter_add_at(blocks: np.ndarray, gidx: np.ndarray, dim: int) -> np.ndarray
     fim = np.zeros((dim + 1, dim + 1))
     np.add.at(fim, (gidx[:, :, None], gidx[:, None, :]), blocks)
     return fim[:dim, :dim]
+
+
+def crlb_bound_complex_solve(inputs: CrlbInputs) -> np.ndarray:
+    """Coefficient bounds diag(J F^-1 J^H) by a complex Cholesky solve, NaN at the reference.
+
+    J is :func:`recical.crlb.coefficient_jacobian` and F the Fisher
+    information; the solve runs on the complex J^H as it is, for comparison
+    with the real triangular solve of :func:`recical.crlb.crlb_coefficients`.
+    """
+    jac = coefficient_jacobian(inputs.frontend)
+    solved = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher_information(inputs)), jac.conj().T)
+    bound = np.einsum("md,dm->m", jac, solved).real
+    bound[inputs.frontend.ref] = np.nan
+    return bound
 
 
 def unit_norm_gmm_full_eigh(data: SoundingData, ref: int | None) -> np.ndarray:

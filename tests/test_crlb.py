@@ -1,10 +1,13 @@
 """Fisher information and the calibration-coefficient variance bound."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import (
+    crlb_bound_complex_solve,
     finite_difference_worst_error,
     pair_information_blocks_einsum,
     random_crlb_instance,
@@ -185,6 +188,18 @@ class TestFisherInformation:
         with pytest.raises(ValueError):
             fisher_information(inputs)
 
+    def test_unrepresentable_noise_rejected(self, coupling):
+        # at 3000 dB det S = n0 (n0 + sigma2 |v|^2) overflows; the error must
+        # name the noise, not the mask, which is full and connected here
+        geom = build_geometry(4, 25)
+        hbar = draw_coupling(geom, coupling, np.random.default_rng(0))
+        inputs = CrlbInputs(deterministic_frontend(100, 37), hbar, coupling.sigma2, 1e300, full_mask(100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large for the Fisher information to be represented") as info:
+                crlb_coefficients(inputs)
+        assert not isinstance(info.value, IdentifiabilityError)
+
     def test_unnormalized_reference_rejected(self):
         fe = FrontEnd(np.array([2.0 + 0j, 1.0]), np.array([1.0 + 0j, 1.0]), 0)
         with pytest.raises(ValueError):
@@ -200,6 +215,16 @@ class TestCrlbCoefficients:
         assert np.all(report.bound[others] > 0)
         assert np.isnan(report.bound[ref])
         assert report.fim_condition >= 1.0
+
+    @given(crlb_cases())
+    def test_real_solve_matches_complex_solve(self, coupling, case):
+        inputs = crlb_instance(coupling, *case)
+        bound = crlb_coefficients(inputs).bound
+        expected = crlb_bound_complex_solve(inputs)
+        ref = inputs.frontend.ref
+        assert np.isnan(bound[ref])
+        others = np.arange(inputs.frontend.n_antennas) != ref
+        assert bound[others] == pytest.approx(expected[others], rel=1e-10)
 
     @given(crlb_cases())
     def test_condition_is_two_norm_condition(self, coupling, case):

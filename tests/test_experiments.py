@@ -305,6 +305,39 @@ class TestRunners:
             outputs.append({name: (out / name).read_bytes() for name in manifest.outputs})
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.skipif(experiments._mallopt() is None, reason="the C library has no mallopt")
+    def test_manifest_records_allocator_thresholds(self, tmp_path):
+        run_experiment(tiny_mse_config(tmp_path))
+        payload = json.loads((tmp_path / "manifest.json").read_text())
+        assert payload["allocator"] == {"mallopt": "applied", "mmap_threshold": 64 << 20, "trim_threshold": 256 << 20}
+
+    def test_run_without_mallopt_keeps_bytes(self, tmp_path, monkeypatch):
+        run_experiment(tiny_mse_config(tmp_path / "with"))
+
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(experiments.ctypes, "CDLL", no_libc)
+        run_experiment(tiny_mse_config(tmp_path / "without"))
+        payload = json.loads((tmp_path / "without" / "manifest.json").read_text())
+        assert payload["allocator"] == {"mallopt": "skipped: the C library has no mallopt"}
+        assert (tmp_path / "with" / "mse_sweep.csv").read_bytes() == (
+            tmp_path / "without" / "mse_sweep.csv"
+        ).read_bytes()
+
+    def test_worker_init_sets_allocator_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(experiments, "_mallopt", lambda: mallopt)
+        monkeypatch.setattr(experiments, "_CTX", None)
+        experiments._init_worker("context")
+        assert experiments._CTX == "context"
+        assert calls == [(experiments._M_MMAP_THRESHOLD, 64 << 20), (experiments._M_TRIM_THRESHOLD, 256 << 20)]
+
     def test_different_seeds_differ(self, tmp_path):
         run_experiment(tiny_mse_config(tmp_path / "s1", seed=1))
         run_experiment(tiny_mse_config(tmp_path / "s2", seed=2))
