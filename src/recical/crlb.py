@@ -162,10 +162,10 @@ def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]
     with np.errstate(over="ignore"):
         gain = n0 + s2 * (a2 + b2)
         det = n0 * gain
-    if not (np.isfinite(gain).all() and np.isfinite(det).all()):
-        # det S is at least n0^2, which overflows past n0 of about 1.3e154;
-        # dividing by it would zero the information and fail the bound as if
-        # the mask were disconnected
+    # det S is at least n0^2, which overflows past n0 of about 1.3e154 (an
+    # infinite gain makes it infinite too); dividing by it would zero the
+    # information and fail the bound as if the mask were disconnected
+    if not np.isfinite(det).all():
         raise ValueError(
             f"noise_var = {n0:g} is too large for the Fisher information to be represented: "
             "det S = n0 (n0 + sigma2 |v|^2) overflows"
