@@ -41,7 +41,6 @@ from .geometry import (
 )
 from .sounding import SoundingData, equivalent_channel, sound
 from .wideband import (
-    OfdmGrid,
     PcaResult,
     WidebandParams,
     WidebandTruth,
@@ -66,7 +65,6 @@ __all__ = [
     "EmSettings",
     "FrontEnd",
     "IdentifiabilityError",
-    "OfdmGrid",
     "PcaResult",
     "SingularSystemError",
     "SoundingData",

@@ -25,8 +25,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IdentifiabilityError
-from .estimators import _check_connected
 from .frontend import FrontEnd
+from .geometry import check_connected
 
 # local parameter order of the information block of one pair (n, m)
 PAIR_PARAMS = ("re_t_n", "im_t_n", "re_r_n", "im_r_n", "re_t_m", "im_t_m", "re_r_m", "im_r_m")
@@ -149,7 +149,7 @@ def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]
     pair_mask = inputs.mask & inputs.mask.T
     # an empty mask, or a component without the reference, leaves the FIM
     # singular, which the Cholesky factorisation may miss by rounding
-    _check_connected(pair_mask, ref)
+    check_connected(pair_mask)
     n_idx, m_idx = np.nonzero(np.triu(pair_mask, k=1))
     P = n_idx.size
     v, w = pair_derivatives(inputs, n_idx, m_idx)

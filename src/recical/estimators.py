@@ -15,16 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DegeneracyError, IdentifiabilityError, SingularSystemError
+from .errors import DegeneracyError, SingularSystemError
 from .sounding import SoundingData
-
-GMM = "gmm"
-EM = "em"
-LINEAR_ML = "linear-ml"
 
 REF_ONE = "ref-one"
 UNIT_NORM = "unit-norm"
-NONE = "none"
 
 # a coefficient vector shrinking below this fraction of its starting norm has
 # collapsed onto the all-zero attractor of the unregularized updates
@@ -42,12 +37,9 @@ class EmHistory:
 
 @dataclass
 class CalibrationEstimate:
-    """Estimated coefficient vector plus method metadata."""
+    """Estimated coefficient vector plus the EM run that produced it, if any."""
 
     c_hat: np.ndarray
-    method: str
-    constraint: str
-    ref: int | None = None
     iterations: int = 0
     epsilon: float = 0.0
     converged: bool = True
@@ -69,7 +61,7 @@ class EmSettings:
     epsilon: float = 0.0
     delta_ml: float = 1e-6
     max_iter: int | None = None
-    init: str | np.ndarray = GMM
+    init: str | np.ndarray = "gmm"
     ref: int | None = None
     keep_history: bool = False
 
@@ -80,46 +72,6 @@ class EmSettings:
             raise ValueError(f"delta_ml must be > 0, got {self.delta_ml}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-def _check_connected(pair_mask: np.ndarray, ref: int | None) -> None:
-    """At least one pair is measured both ways, and every antenna reaches every other through such pairs."""
-    if not pair_mask.any():
-        raise IdentifiabilityError("mask contains no bidirectionally measured pair")
-    reached = np.zeros(pair_mask.shape[0], dtype=bool)
-    reached[0] = True
-    frontier = reached.copy()
-    while frontier.any():
-        frontier = pair_mask[frontier].any(axis=0) & ~reached
-        reached |= frontier
-    if not reached.all():
-        anchor = "the reference antenna" if ref is not None else "each other"
-        raise IdentifiabilityError(
-            f"measurement graph splits into {int(reached.sum())} + "
-            f"{int((~reached).sum())} antennas; coefficients cannot all be "
-            f"related to {anchor}"
-        )
-
-
-def _masked_measurements(data: SoundingData) -> tuple[np.ndarray, np.ndarray]:
-    """Bidirectional pair mask and the measurement matrix zeroed outside it."""
-    pair_mask = data.pair_mask()
-    y = np.where(pair_mask, data.matrix, 0.0 + 0.0j)
-    return pair_mask, y
-
-
-def moment_matrix(data: SoundingData) -> np.ndarray:
-    """Hermitian PSD matrix Q with c^H Q c = sum of squared moment conditions.
-
-    Each unordered measured pair {n, m} contributes
-    |y[n, m] c_n - y[m, n] c_m|^2 to the quadratic form.
-    """
-    _, y = _masked_measurements(data)
-    q = np.conj(y)
-    q *= y.T
-    np.subtract(0.0, q, out=q)  # 0 - x, not -x: unmeasured pairs stay +0
-    q[np.diag_indices_from(q)] += np.sum(np.abs(y) ** 2, axis=1)
-    return q
 
 
 def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None = None) -> CalibrationEstimate:
@@ -133,8 +85,7 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
     smallest eigenpair is computed (LAPACK's MRRR solver after the cubic
     tridiagonal reduction), not the whole spectrum.
     """
-    _check_connected(data.pair_mask(), ref if constraint == REF_ONE else None)
-    q = moment_matrix(data)
+    q = data.moments
     M = data.n_antennas
     if (ref is None and constraint == REF_ONE) or (ref is not None and not 0 <= ref < M):
         raise ValueError(f"{constraint} constraint needs a reference index in 0..{M - 1}, got {ref}")
@@ -153,7 +104,7 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
         c = np.empty(M, dtype=complex)
         c[others] = c_others
         c[ref] = 1.0
-        return CalibrationEstimate(c, GMM, REF_ONE, ref=ref)
+        return CalibrationEstimate(c)
 
     if constraint == UNIT_NORM:
         _, vecs = scipy.linalg.eigh(q, subset_by_index=[0, 0])
@@ -161,7 +112,7 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
         anchor = ref if ref is not None else int(np.argmax(np.abs(c)))
         if np.abs(c[anchor]) > 0:
             c = c * (np.abs(c[anchor]) / c[anchor])
-        return CalibrationEstimate(c, GMM, UNIT_NORM, ref=ref)
+        return CalibrationEstimate(c)
 
     raise ValueError(f"constraint must be '{REF_ONE}' or '{UNIT_NORM}', got {constraint!r}")
 
@@ -215,8 +166,7 @@ def em_calibrate(
     flagged through ``converged=False``).
     """
     settings = settings or EmSettings()
-    pair_mask, y = _masked_measurements(data)
-    _check_connected(pair_mask, None)
+    y = data.measured
     M = data.n_antennas
     max_iter = settings.max_iter if settings.max_iter is not None else 50 * M
     if settings.ref is not None and not 0 <= settings.ref < M:
@@ -226,7 +176,7 @@ def em_calibrate(
         c = settings.init.astype(complex).copy()
         if c.shape != (M,):
             raise ValueError(f"explicit init must have shape ({M},), got {c.shape}")
-    elif settings.init == GMM:
+    elif settings.init == "gmm":
         c = gmm_estimate(data, UNIT_NORM, ref=settings.ref).c_hat
     elif settings.init == "random":
         if rng is None:
@@ -241,7 +191,7 @@ def em_calibrate(
     converged = False
     iterations = 0
     yt = np.ascontiguousarray(y.T)
-    off_mask = ~pair_mask
+    off_mask = ~data.pairs
     for iterations in range(1, max_iter + 1):
         psi = _em_psi_step(y, yt, off_mask, c, eps)
         num, den = _em_c_step(y, psi, eps)
@@ -262,15 +212,12 @@ def em_calibrate(
         if history is not None:
             history.coefficients.append(c.copy())
             history.deltas.append(delta)
-            history.objectives.append(_em_objective(y, pair_mask, psi, c, eps))
+            history.objectives.append(_em_objective(y, data.pairs, psi, c, eps))
         if delta < settings.delta_ml:
             converged = True
             break
     return CalibrationEstimate(
         c,
-        EM,
-        NONE,
-        ref=settings.ref,
         iterations=iterations,
         epsilon=settings.epsilon,
         converged=converged,
@@ -286,12 +233,12 @@ def em_fixed_point_residuals(data: SoundingData, estimate: CalibrationEstimate) 
     psi', and psi'' the channel update evaluated at c'.  Both vanish at a
     joint stationary point.
     """
-    pair_mask, y = _masked_measurements(data)
+    y, off_mask = data.measured, ~data.pairs
     eps = estimate.epsilon
-    psi = _em_psi_step(y, y.T, ~pair_mask, estimate.c_hat, eps)
+    psi = _em_psi_step(y, y.T, off_mask, estimate.c_hat, eps)
     num, den = _em_c_step(y, psi, eps)
     c_next = num / den
-    psi_next = _em_psi_step(y, y.T, ~pair_mask, c_next, eps)
+    psi_next = _em_psi_step(y, y.T, off_mask, c_next, eps)
     return (
         float(np.linalg.norm(psi_next - psi)),
         float(np.linalg.norm(c_next - estimate.c_hat)),
@@ -304,8 +251,8 @@ def em_coefficient_gradient(data: SoundingData, estimate: CalibrationEstimate) -
     The equivalent channel is first refreshed by its own exact update, so a
     converged run must make this vanish up to the convergence threshold.
     """
-    pair_mask, y = _masked_measurements(data)
-    psi = _em_psi_step(y, y.T, ~pair_mask, estimate.c_hat, estimate.epsilon)
+    y = data.measured
+    psi = _em_psi_step(y, y.T, ~data.pairs, estimate.c_hat, estimate.epsilon)
     num, den = _em_c_step(y, psi, estimate.epsilon)
     return den * estimate.c_hat - num
 
@@ -336,7 +283,7 @@ def linear_array_ml(data: SoundingData) -> CalibrationEstimate:
         raise DegeneracyError("a chain measurement has zero magnitude; the ratio is undefined")
     ratios = np.conj(down) * up / mag2
     c = np.concatenate([[1.0 + 0.0j], np.cumprod(ratios)])
-    return CalibrationEstimate(c, LINEAR_ML, REF_ONE, ref=0)
+    return CalibrationEstimate(c)
 
 
 @dataclass
@@ -348,8 +295,8 @@ class MseScore:
     trials_excluded: int
 
 
-def score_mse(estimates: list[CalibrationEstimate], c_true: np.ndarray, ref: int) -> MseScore:
-    """Average |c_m - c_hat_m / c_hat_ref|^2 over trials.
+def score_mse(estimates: list[np.ndarray], c_true: np.ndarray, ref: int) -> MseScore:
+    """Average |c_m - c_hat_m / c_hat_ref|^2 over trials, one ``c_hat`` per trial.
 
     Every estimate is re-normalized by its reference entry, so methods that
     use no reference internally are scored on the same footing.  Trials with
@@ -360,12 +307,12 @@ def score_mse(estimates: list[CalibrationEstimate], c_true: np.ndarray, ref: int
     total = np.zeros(c_true.shape[0])
     used = 0
     excluded = 0
-    for est in estimates:
-        pivot = est.c_hat[ref]
+    for c_hat in estimates:
+        pivot = c_hat[ref]
         if pivot == 0 or not np.isfinite(pivot):
             excluded += 1
             continue
-        total += np.abs(c_true - est.c_hat / pivot) ** 2
+        total += np.abs(c_true - c_hat / pivot) ** 2
         used += 1
     if used == 0:
         raise DegeneracyError("every trial had a zero reference coefficient")

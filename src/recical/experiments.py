@@ -41,12 +41,11 @@ from . import __version__
 from .config import EXPERIMENT_IDS, ExperimentConfig, db_to_linear
 from .crlb import CrlbInputs, CrlbReport, crlb_coefficients
 from .downlink import EM_VARIANT, GMM_VARIANT, PERFECT, PRECODERS, TRUE_CSI, UNCALIBRATED, draw_scenario, variant_sum_rates
-from .estimators import UNIT_NORM, CalibrationEstimate, EmSettings, em_calibrate, gmm_estimate, score_mse
+from .estimators import UNIT_NORM, EmSettings, em_calibrate, gmm_estimate, score_mse
 from .frontend import FrontEnd, deterministic_frontend, random_frontend, true_coefficients
 from .geometry import ArrayGeometry, CouplingModel, build_geometry, draw_channel, draw_coupling, full_mask, reduced_mask
 from .sounding import sound
 from .wideband import (
-    OfdmGrid,
     WidebandParams,
     WidebandTruth,
     ks_gaussianity,
@@ -293,8 +292,8 @@ def run_mse_sweep(config: ExperimentConfig) -> Tables:
 
     rows = []
     for n0_db, (bound, bound_r), results in zip(config.mse_sweep.n0_grid_db, bounds, per_point):
-        score_g = score_mse([CalibrationEstimate(g, "gmm", "", ref=ref) for g, _ in results], c_true, ref)
-        score_e = score_mse([CalibrationEstimate(e, "em", "", ref=ref) for _, e in results], c_true, ref)
+        score_g = score_mse([g for g, _ in results], c_true, ref)
+        score_e = score_mse([e for _, e in results], c_true, ref)
         for antenna in config.mse_sweep.antennas:
             a = antenna - 1
             for method, score in (("gmm", score_g), ("em", score_e)):
@@ -351,6 +350,8 @@ def _capacity_trial(t: int) -> dict[str, dict[str, float]]:
     The trial's stream draws the channel and sounds it, only when a
     calibrating variant asks for it, then draws the downlink scenario.  The
     GMM and EM estimates are normalized to the reference before precoding.
+    A unit-norm GMM estimate is also EM's start, the one its default init
+    computes.
     """
     ctx = _CTX
     cap = ctx.config.capacity
@@ -362,10 +363,13 @@ def _capacity_trial(t: int) -> dict[str, dict[str, float]]:
     if {GMM_VARIANT, EM_VARIANT} & set(cap.variants):
         (data,) = ctx.soundings([db_to_linear(cap.cal_n0_db)], rng)
         estimates = {}
+        settings = _em_settings(ctx.config)
         if GMM_VARIANT in cap.variants:
             estimates[GMM_VARIANT] = gmm_estimate(data, cap.gmm_constraint, ref=ref).c_hat
+            if cap.gmm_constraint == UNIT_NORM:
+                settings.init = estimates[GMM_VARIANT]
         if EM_VARIANT in cap.variants:
-            estimates[EM_VARIANT] = em_calibrate(data, _em_settings(ctx.config)).c_hat
+            estimates[EM_VARIANT] = em_calibrate(data, settings).c_hat
         coefficients.update({variant: c / c[ref] for variant, c in estimates.items()})
     scenario = draw_scenario(
         ctx.frontend, cap.n_users, rng, noise_var=db_to_linear(cap.dl_noise_db), reciprocal_users=cap.reciprocal_users
@@ -399,9 +403,8 @@ def run_wideband(config: ExperimentConfig) -> Tables:
     """Subcarrier-process study: PCA spectra, kernel fits, residual KS tests."""
     geom, model, fe = build_setup(config)
     wb = config.wideband
-    grid = OfdmGrid(wb.n_fft, wb.n_subcarriers)
     params = WidebandParams(tuple(wb.offset_range), wb.mag_slope_max, wb.phase_slope_max)
-    truths = synth_wideband(geom.n_antennas, grid, params, wb.realizations, shared_rng(config.seed, config.experiment))
+    truths = synth_wideband(geom.n_antennas, wb.n_subcarriers, params, wb.realizations, shared_rng(config.seed, config.experiment))
     ctx = _TrialContext(config, geom, model, fe, truths=truths)
     estimates = np.stack(_run_trials(_wideband_realization, ctx, wb.realizations))
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import IdentifiabilityError
+
 CO = "co"
 CROSS = "cross"
 
@@ -175,3 +177,21 @@ def reduced_mask(geom: ArrayGeometry, radius: float) -> np.ndarray:
     mask = dist <= radius * (1.0 + _RADIUS_RTOL)
     np.fill_diagonal(mask, False)
     return mask
+
+
+def check_connected(pair_mask: np.ndarray) -> None:
+    """At least one pair is measured both ways, and every antenna reaches every other through such pairs."""
+    if not pair_mask.any():
+        raise IdentifiabilityError("mask contains no bidirectionally measured pair")
+    reached = np.zeros(pair_mask.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = pair_mask[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    if not reached.all():
+        raise IdentifiabilityError(
+            f"measurement graph splits into {int(reached.sum())} + "
+            f"{int((~reached).sum())} antennas; coefficients cannot all be "
+            "related to each other"
+        )

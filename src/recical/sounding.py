@@ -9,16 +9,22 @@ and any entry outside the measurement mask are undefined (stored as NaN).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .frontend import FrontEnd
-from .geometry import full_mask
+from .geometry import check_connected, full_mask
 
 
-@dataclass
+@dataclass(frozen=True)
 class SoundingData:
-    """One round of pairwise measurements plus the mask that was measured."""
+    """One round of pairwise measurements plus the mask that was measured.
+
+    The estimators read ``pairs``, ``measured`` and ``moments``, each derived
+    on first use and kept, so the arrays must not be changed after the first
+    estimator call on a sounding.
+    """
 
     matrix: np.ndarray      # (M, M) complex, NaN outside the mask
     mask: np.ndarray        # (M, M) bool, ordered pairs actually measured
@@ -28,9 +34,31 @@ class SoundingData:
     def n_antennas(self) -> int:
         return self.matrix.shape[0]
 
-    def pair_mask(self) -> np.ndarray:
-        """Ordered pairs measured in both directions (usable for moments)."""
-        return self.mask & self.mask.T
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Ordered pairs measured in both directions; they must connect every antenna."""
+        pairs = self.mask & self.mask.T
+        check_connected(pairs)
+        return pairs
+
+    @cached_property
+    def measured(self) -> np.ndarray:
+        """The measurement matrix, zero outside ``pairs``."""
+        return np.where(self.pairs, self.matrix, 0.0 + 0.0j)
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """Hermitian PSD matrix Q with c^H Q c = sum of squared moment conditions.
+
+        Each unordered measured pair {n, m} contributes
+        |y[n, m] c_n - y[m, n] c_m|^2 to the quadratic form.
+        """
+        y = self.measured
+        q = np.conj(y)
+        q *= y.T
+        np.subtract(0.0, q, out=q)  # 0 - x, not -x: unmeasured pairs stay +0
+        q[np.diag_indices_from(q)] += np.sum(np.abs(y) ** 2, axis=1)
+        return q
 
 
 def sound(

@@ -26,18 +26,6 @@ KS_MIN_SAMPLES = 50
 
 
 @dataclass(frozen=True)
-class OfdmGrid:
-    """High-level OFDM numerology; only the used-subcarrier count matters here."""
-
-    n_fft: int = 2048
-    n_subcarriers: int = 1200
-
-    def __post_init__(self) -> None:
-        if self.n_subcarriers > self.n_fft:
-            raise ValueError("cannot use more subcarriers than the FFT size")
-
-
-@dataclass(frozen=True)
 class WidebandParams:
     """Ranges for the per-antenna kernel parameters of synthetic truth."""
 
@@ -72,7 +60,7 @@ class WidebandTruth:
 
 def synth_wideband(
     n_antennas: int,
-    grid: OfdmGrid,
+    n_subcarriers: int,
     params: WidebandParams,
     realizations: int,
     rng: np.random.Generator,
@@ -80,7 +68,7 @@ def synth_wideband(
     """Draw kernel parameters once and realize the oscillator phase per run."""
     if realizations < 1:
         raise ValueError(f"need at least one realization, got {realizations}")
-    k = np.arange(grid.n_subcarriers)
+    k = np.arange(n_subcarriers)
     lo, hi = params.offset_range
     offsets = rng.uniform(lo, hi, size=n_antennas) * np.exp(
         2j * np.pi * rng.uniform(size=n_antennas)

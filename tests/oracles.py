@@ -11,7 +11,6 @@ from recical.crlb import (
     pair_derivatives,
     pair_statistics,
 )
-from recical.estimators import moment_matrix
 from recical.frontend import FrontEnd
 from recical.sounding import SoundingData
 
@@ -166,7 +165,7 @@ def crlb_bound_complex_solve(inputs: CrlbInputs) -> np.ndarray:
 
 def unit_norm_gmm_full_eigh(data: SoundingData, ref: int | None) -> np.ndarray:
     """Unit-norm GMM from the full spectrum: smallest eigenvector, anchor rotated real positive."""
-    _, vecs = np.linalg.eigh(moment_matrix(data))
+    _, vecs = np.linalg.eigh(data.moments)
     c = vecs[:, 0]
     anchor = ref if ref is not None else int(np.argmax(np.abs(c)))
     if np.abs(c[anchor]) > 0:

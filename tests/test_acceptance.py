@@ -38,7 +38,6 @@ from recical.geometry import (
 )
 from recical.sounding import sound
 from recical.wideband import (
-    OfdmGrid,
     WidebandParams,
     ks_gaussianity,
     per_subcarrier_estimate,
@@ -76,8 +75,8 @@ def run_estimators(setup, n0, trials, em_epsilon=0.0, seed_tag=0):
         rng = np.random.default_rng((seed_tag, t))
         h = draw_channel(geom, DEFAULT_COUPLING, rng, coupling=hbar)
         data = sound(h, fe, n0, rng)
-        gmm_runs.append(gmm_estimate(data, ref=REF))
-        em_runs.append(em_calibrate(data, EmSettings(epsilon=em_epsilon, ref=REF)))
+        gmm_runs.append(gmm_estimate(data, ref=REF).c_hat)
+        em_runs.append(em_calibrate(data, EmSettings(epsilon=em_epsilon, ref=REF)).c_hat)
     c = true_coefficients(fe)
     return score_mse(gmm_runs, c, REF), score_mse(em_runs, c, REF), em_runs
 
@@ -258,7 +257,7 @@ def test_08_em_fixed_point(setup):
         data = sound(h, fe, n0, rng)
         est = em_calibrate(data, EmSettings(epsilon=0.0, ref=REF, delta_ml=1e-22))
         assert est.converged
-        y_norm = np.linalg.norm(np.where(data.pair_mask(), data.matrix, 0))
+        y_norm = np.linalg.norm(np.where(data.pairs, data.matrix, 0))
         psi_res, c_res = em_fixed_point_residuals(data, est)
         worst = max(worst, psi_res / y_norm, c_res / y_norm)
     ok = worst < 1e-6
@@ -289,9 +288,8 @@ def test_09_wideband_averaging():
 
 def test_10_residual_gaussianity():
     geom = build_geometry(4, 25)
-    grid = OfdmGrid()
     rng = np.random.default_rng(1000)
-    truth = synth_wideband(100, grid, WidebandParams(), 1, rng)[0]
+    truth = synth_wideband(100, 1200, WidebandParams(), 1, rng)[0]
     c_hat = per_subcarrier_estimate(truth, geom, DEFAULT_COUPLING, 1e-8, REF, rng)
     record = wideband_record(c_hat)
     passes = 0

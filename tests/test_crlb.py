@@ -281,7 +281,7 @@ class TestCrlbCoefficients:
             rng = np.random.default_rng((15, t))
             h = draw_channel(geom, coupling, rng, coupling=hbar)
             data = sound(h, fe, n0, rng)
-            estimates.append(em_calibrate(data, EmSettings(ref=37)))
+            estimates.append(em_calibrate(data, EmSettings(ref=37)).c_hat)
         score = score_mse(estimates, c, 37)
         bound = crlb_coefficients(CrlbInputs(fe, hbar, coupling.sigma2, n0, full_mask(100))).bound
         for antenna in (0, 38):

@@ -1,25 +1,26 @@
 """GMM, EM, and linear-array estimators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import unit_norm_gmm_full_eigh
 
+import recical.sounding
 from recical.errors import DegeneracyError, IdentifiabilityError
 from recical.estimators import (
-    CalibrationEstimate,
     EmSettings,
     em_calibrate,
     em_coefficient_gradient,
     em_fixed_point_residuals,
     gmm_estimate,
     linear_array_ml,
-    moment_matrix,
     score_mse,
 )
 from recical.frontend import FrontEnd, random_frontend, true_coefficients
-from recical.geometry import build_geometry, draw_channel, full_mask, reduced_mask
+from recical.geometry import build_geometry, check_connected, draw_channel, full_mask, reduced_mask
 from recical.sounding import SoundingData, sound
 
 
@@ -78,7 +79,7 @@ class TestGmm:
         data, c = make_data(3, 4, coupling, 0.0, seed=0, ref=5)
         est = gmm_estimate(data, ref=5)
         assert est.c_hat == pytest.approx(c, abs=1e-10)
-        q = moment_matrix(data)
+        q = data.moments
         assert (est.c_hat.conj() @ q @ est.c_hat).real < 1e-18
 
     def test_two_antenna_closed_form(self, coupling):
@@ -104,14 +105,14 @@ class TestGmm:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_moment_matrix_hermitian_psd(self, coupling, seed):
         data, _ = make_data(2, 4, coupling, 1e-3, seed=seed)
-        q = moment_matrix(data)
+        q = data.moments
         assert q == pytest.approx(q.conj().T)
         eigs = np.linalg.eigvalsh(q)
         assert eigs.min() >= -1e-10 * np.linalg.norm(q)
 
     def test_cost_invariant_to_global_phase(self, coupling, rng):
         data, _ = make_data(2, 3, coupling, 1e-4, seed=5)
-        q = moment_matrix(data)
+        q = data.moments
         c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         cost = (c.conj() @ q @ c).real
         rotated = np.exp(1j * 0.83) * c
@@ -170,7 +171,7 @@ class TestEm:
         data, _ = make_data(2, 5, coupling, 1e-6, seed=11, ref=2)
         est = em_calibrate(data, EmSettings(ref=2, delta_ml=1e-22))
         assert est.converged
-        y_norm = np.linalg.norm(np.where(data.pair_mask(), data.matrix, 0))
+        y_norm = np.linalg.norm(np.where(data.pairs, data.matrix, 0))
         grad = em_coefficient_gradient(data, est)
         assert np.linalg.norm(grad) < 1e-6 * y_norm
 
@@ -178,7 +179,7 @@ class TestEm:
         data, _ = make_data(2, 4, coupling, 1e-5, seed=12, ref=0)
         est = em_calibrate(data, EmSettings(ref=0, delta_ml=1e-24))
         psi_res, c_res = em_fixed_point_residuals(data, est)
-        y_norm = np.linalg.norm(np.where(data.pair_mask(), data.matrix, 0))
+        y_norm = np.linalg.norm(np.where(data.pairs, data.matrix, 0))
         assert psi_res < 1e-6 * y_norm
         assert c_res < 1e-6 * y_norm
 
@@ -263,6 +264,50 @@ class TestEm:
         assert converged >= 99
 
 
+class TestAntennaRelabelling:
+    @given(sounding_cases(), st.data())
+    def test_estimates_follow_the_permutation(self, coupling, case, draws):
+        # antenna perm[i] of the sounding is antenna i of the relabelled one
+        data, ref = sounded(coupling, case)
+        perm = np.array(draws.draw(st.permutations(range(data.n_antennas))))
+        relabelled = SoundingData(data.matrix[np.ix_(perm, perm)], data.mask[np.ix_(perm, perm)], data.noise_var)
+        new_index = np.argsort(perm)
+
+        def moved(r):
+            return None if r is None else int(new_index[r])
+
+        pinned = 0 if ref is None else ref
+        runs = [
+            (lambda d, r: gmm_estimate(d, "ref-one", ref=r), pinned),
+            (lambda d, r: gmm_estimate(d, "unit-norm", ref=r), ref),
+            # a fixed number of EM steps: the threshold is out of reach
+            (lambda d, r: em_calibrate(d, EmSettings(ref=r, max_iter=25, delta_ml=1e-300)), ref),
+        ]
+        for estimate, r in runs:
+            expected = estimate(data, r).c_hat[perm]
+            assert estimate(relabelled, moved(r)).c_hat == pytest.approx(expected, rel=1e-9)
+
+
+class TestDerivedInputs:
+    def test_one_connectivity_check_per_sounding(self, coupling, monkeypatch):
+        calls = []
+
+        def counting(pairs):
+            calls.append(pairs)
+            check_connected(pairs)
+
+        monkeypatch.setattr(recical.sounding, "check_connected", counting)
+        data, _ = make_data(2, 4, coupling, 1e-5, seed=25, ref=3)
+        gmm_estimate(data, ref=3)
+        em_calibrate(data, EmSettings(ref=3))
+        assert len(calls) == 1
+
+    def test_sounding_is_frozen(self, coupling):
+        data, _ = make_data(1, 3, coupling, 1e-6, seed=26)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.matrix = np.zeros((3, 3), complex)
+
+
 class TestLinearArrayMl:
     def test_noiseless_chain_recovers_truth(self, coupling):
         data, c = make_chain_data(6, coupling, 0.0, seed=20)
@@ -299,15 +344,13 @@ class TestLinearArrayMl:
 class TestScoreMse:
     def test_exact_estimate_scores_zero(self):
         c = np.array([1.0, 2.0 + 1.0j, 0.5j])
-        est = CalibrationEstimate(c.copy(), "gmm", "ref-one", ref=0)
-        score = score_mse([est], c, 0)
+        score = score_mse([c.copy()], c, 0)
         assert score.mse == pytest.approx(np.zeros(3), abs=1e-30)
         assert score.trials_used == 1
 
     def test_scalar_ambiguity_removed(self):
         c = np.array([1.0, 2.0 + 1.0j, 0.5j, -0.3 + 0.1j])
-        est = CalibrationEstimate((0.8 - 2.2j) * c, "em", "none", ref=0)
-        score = score_mse([est], c, 0)
+        score = score_mse([(0.8 - 2.2j) * c], c, 0)
         assert score.mse == pytest.approx(np.zeros(4), abs=1e-28)
 
     def test_single_perturbation(self):
@@ -315,15 +358,14 @@ class TestScoreMse:
         perturbed = c.copy()
         delta = 0.05 - 0.02j
         perturbed[2] += delta
-        est = CalibrationEstimate(perturbed, "gmm", "ref-one", ref=0)
-        score = score_mse([est], c, 0)
+        score = score_mse([perturbed], c, 0)
         assert score.mse[2] == pytest.approx(abs(delta) ** 2)
         assert score.mse[0] == 0.0 and score.mse[1] == 0.0
 
     def test_zero_reference_excluded_and_counted(self):
         c = np.array([1.0 + 0.0j, 2.0 + 0.0j])
-        good = CalibrationEstimate(c.copy(), "em", "none")
-        bad = CalibrationEstimate(np.array([0.0 + 0.0j, 1.0 + 0.0j]), "em", "none")
+        good = c.copy()
+        bad = np.array([0.0 + 0.0j, 1.0 + 0.0j])
         score = score_mse([good, bad], c, 0)
         assert score.trials_used == 1
         assert score.trials_excluded == 1

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from recical.config import ConfigError, config_from_dict
 from recical.crlb import CrlbInputs, crlb_coefficients
 from recical.frontend import FrontEnd
 from recical.geometry import build_geometry, coupling_magnitudes, full_mask
 from recical.wideband import (
-    OfdmGrid,
     WidebandParams,
     ks_gaussianity,
     pca,
@@ -25,46 +25,41 @@ def kernel_row(offset, mag_slope, phase_slope, n):
 
 class TestSynthWideband:
     def test_flat_parameters_give_constant_unit_rows(self, rng):
-        grid = OfdmGrid(n_fft=64, n_subcarriers=32)
         params = WidebandParams(offset_range=(1.0, 1.0), mag_slope_max=0.0, phase_slope_max=0.0)
-        truth = synth_wideband(5, grid, params, 1, rng)[0]
+        truth = synth_wideband(5, 32, params, 1, rng)[0]
         assert np.abs(truth.values) == pytest.approx(np.ones((5, 32)))
         assert truth.values == pytest.approx(truth.values[:, :1] * np.ones((1, 32)))
 
     def test_parameters_held_phases_redrawn(self, rng):
-        grid = OfdmGrid(n_fft=64, n_subcarriers=16)
-        truths = synth_wideband(4, grid, WidebandParams(), 3, rng)
+        truths = synth_wideband(4, 16, WidebandParams(), 3, rng)
         assert all(np.array_equal(t.offsets, truths[0].offsets) for t in truths)
         assert all(np.array_equal(t.mag_slopes, truths[0].mag_slopes) for t in truths)
         assert not np.array_equal(truths[0].phases, truths[1].phases)
 
     def test_oscillator_phase_zero_mean(self, rng):
-        grid = OfdmGrid(n_fft=8, n_subcarriers=4)
-        truths = synth_wideband(1000, grid, WidebandParams(), 100, rng)
+        truths = synth_wideband(1000, 4, WidebandParams(), 100, rng)
         phasors = np.concatenate([np.exp(2j * np.pi * t.phases) for t in truths])
         assert phasors.size == 100_000
         assert abs(phasors.mean()) < 0.02
 
     def test_cross_antenna_phases_uncorrelated(self, rng):
-        grid = OfdmGrid(n_fft=8, n_subcarriers=4)
-        truths = synth_wideband(2, grid, WidebandParams(), 100_000, rng)
+        truths = synth_wideband(2, 4, WidebandParams(), 100_000, rng)
         prods = np.array([np.exp(2j * np.pi * (t.phases[0] - t.phases[1])) for t in truths])
         assert abs(prods.mean()) < 0.02
 
     def test_realization_count_validated(self, rng):
         with pytest.raises(ValueError):
-            synth_wideband(2, OfdmGrid(), WidebandParams(), 0, rng)
+            synth_wideband(2, 1200, WidebandParams(), 0, rng)
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            OfdmGrid(n_fft=64, n_subcarriers=65)
+        with pytest.raises(ConfigError, match="n_subcarriers cannot exceed n_fft"):
+            config_from_dict({"experiment": "wideband", "wideband": {"n_subcarriers": 65, "n_fft": 64}})
 
 
 class TestPerSubcarrierEstimate:
     def test_noiseless_recovers_normalized_truth(self, coupling, rng):
         geom = build_geometry(2, 3)
-        grid = OfdmGrid(n_fft=32, n_subcarriers=16)
-        truth = synth_wideband(6, grid, WidebandParams(), 1, rng)[0]
+        truth = synth_wideband(6, 16, WidebandParams(), 1, rng)[0]
         c_hat = per_subcarrier_estimate(truth, geom, coupling, 0.0, 5, rng)
         assert c_hat == pytest.approx(truth.values / truth.values[5], abs=1e-9)
 
@@ -72,9 +67,8 @@ class TestPerSubcarrierEstimate:
         # lag-1 autocorrelation oracle; per-antenna estimates carry only the
         # statistical noise of 1/sqrt(N) so the mean over antennas is tested
         geom = build_geometry(3, 4)
-        grid = OfdmGrid(n_fft=2048, n_subcarriers=1200)
         rng = np.random.default_rng(2)
-        truth = synth_wideband(12, grid, WidebandParams(), 1, rng)[0]
+        truth = synth_wideband(12, 1200, WidebandParams(), 1, rng)[0]
         c_hat = per_subcarrier_estimate(truth, geom, coupling, 1e-8, 5, rng)
         err = c_hat - truth.values / truth.values[5]
         rho = []
@@ -89,9 +83,8 @@ class TestPerSubcarrierEstimate:
         geom = build_geometry(3, 4)
         ref = 5
         n0 = 1e-8
-        grid = OfdmGrid(n_fft=512, n_subcarriers=400)
         rng = np.random.default_rng(9)
-        truth = synth_wideband(12, grid, WidebandParams(), 1, rng)[0]
+        truth = synth_wideband(12, 400, WidebandParams(), 1, rng)[0]
         c_hat = per_subcarrier_estimate(truth, geom, coupling, n0, ref, rng)
         err = c_hat - truth.values / truth.values[ref]
         # the bound depends on subcarrier k only through the mild drift of
@@ -112,15 +105,13 @@ class TestPerSubcarrierEstimate:
 
 class TestPca:
     def test_noiseless_process_is_rank_one(self, rng):
-        grid = OfdmGrid(n_fft=128, n_subcarriers=100)
-        truths = synth_wideband(6, grid, WidebandParams(), 100, rng)
+        truths = synth_wideband(6, 100, WidebandParams(), 100, rng)
         stack = np.stack([t.values for t in truths])
         for res in pca(stack):
             assert res.eigenvalues[0] / res.eigenvalues[1] > 1e3
 
     def test_leading_component_aligned_with_kernel(self, rng):
-        grid = OfdmGrid(n_fft=128, n_subcarriers=100)
-        truths = synth_wideband(4, grid, WidebandParams(), 50, rng)
+        truths = synth_wideband(4, 100, WidebandParams(), 50, rng)
         stack = np.stack([t.values for t in truths])
         results = pca(stack)
         for m, res in enumerate(results):
@@ -154,9 +145,8 @@ class TestPca:
     def test_estimated_process_still_near_rank_one_at_high_snr(self, coupling):
         # estimation noise only dents the spectrum far below the leading mode
         geom = build_geometry(2, 4)
-        grid = OfdmGrid(n_fft=256, n_subcarriers=200)
         rng = np.random.default_rng(8)
-        truths = synth_wideband(8, grid, WidebandParams(), 10, rng)
+        truths = synth_wideband(8, 200, WidebandParams(), 10, rng)
         stack = np.stack(
             [per_subcarrier_estimate(t, geom, coupling, 1e-8, 4, rng) for t in truths]
         )
