@@ -34,6 +34,11 @@ PAIR_PARAMS = ("re_t_n", "im_t_n", "re_r_n", "im_r_n", "re_t_m", "im_t_m", "re_r
 PAIR_CHANNELS = np.array([1, 0, 0, 1])
 
 _REF_GAIN_TOL = 1e-12
+# pairs per Fisher-assembly chunk: each chunk's temporaries stay near 1 MB.
+# Below 4096 pairs no (4, P) complex temporary reaches the 256 KB at which
+# numpy reuses it as the output of a multiply, with the operands swapped and
+# so rounded otherwise; a pair's block then does not depend on its chunk
+FIM_CHUNK_PAIRS = 2048
 
 
 @dataclass
@@ -114,10 +119,10 @@ def _theta_slot(antenna: int, ref: int) -> int:
     return 4 * (antenna - (antenna > ref))
 
 
-def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]:
-    """Every measured pair's 8x8 information block and its global indices.
+def pair_information_blocks(inputs: CrlbInputs, n_idx: np.ndarray, m_idx: np.ndarray) -> np.ndarray:
+    """The 8x8 information block of every pair (n_idx[p], m_idx[p]).
 
-    For every bidirectionally measured pair the complex Gaussian information
+    For a bidirectionally measured pair the complex Gaussian information
 
         I_ij = tr(X dS_i X dS_j) + 2 Re(dmu_i^H X dmu_j),   X = S^-1,
 
@@ -135,22 +140,11 @@ def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]
     (Re, Re) = Re(A + B), (Re, Im) = -Im(A + B), (Im, Re) = Im(A - B) and
     (Im, Im) = Re(A - B).  Components are ordered as in :data:`PAIR_PARAMS`.
 
-    Returns ``(blocks, gidx)`` with shapes (P, 8, 8) and (P, 8): ``gidx``
-    maps each local component to its slot in the stacked real parameter
-    vector of dimension ``4 * (M - 1)``, and components of the reference
-    antenna to the scratch slot ``4 * (M - 1)``.
+    Returns the blocks with shape (P, 8, 8).
     """
     if inputs.noise_var <= 0:
         # the rank-one multipath term alone leaves the 2x2 covariance singular
         raise ValueError("fisher information needs noise_var > 0 for an invertible covariance")
-    fe = inputs.frontend
-    M = fe.n_antennas
-    ref = fe.ref
-    pair_mask = inputs.mask & inputs.mask.T
-    # an empty mask, or a component without the reference, leaves the FIM
-    # singular, which the Cholesky factorisation may miss by rounding
-    check_connected(pair_mask)
-    n_idx, m_idx = np.nonzero(np.triu(pair_mask, k=1))
     P = n_idx.size
     v, w = pair_derivatives(inputs, n_idx, m_idx)
     a2, b2 = np.abs(v) ** 2
@@ -185,50 +179,60 @@ def pair_information_blocks(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]
     blocks[:, 0, :, 1] = -(a_kl.imag + b_kl.imag)
     blocks[:, 1, :, 0] = a_kl.imag - b_kl.imag
     blocks[:, 1, :, 1] = a_kl.real - b_kl.real
-
-    dim = 4 * (M - 1)
-    offsets = np.arange(4)
-    slot_n = np.where(n_idx == ref, dim, _theta_slot(n_idx, ref))
-    slot_m = np.where(m_idx == ref, dim, _theta_slot(m_idx, ref))
-    gidx = np.concatenate(
-        [
-            np.minimum(slot_n[:, None] + offsets, dim),
-            np.minimum(slot_m[:, None] + offsets, dim),
-        ],
-        axis=1,
-    )
-    return blocks.reshape(8, 8, P).transpose(2, 0, 1), gidx
+    return blocks.reshape(8, 8, P).transpose(2, 0, 1)
 
 
 def fisher_information(inputs: CrlbInputs) -> np.ndarray:
     """Fisher information of the stacked real parameters, all pairs summed.
 
-    Assembled pairwise from :func:`pair_information_blocks`: each pair's 8x8
-    block is scattered into the global matrix, with the reference antenna's
-    parameters routed to a scratch slot that is sliced away afterwards.  The
-    blocks are added in pair order, so the result is bit-reproducible.
+    The bidirectionally measured pairs are taken in row order, at most
+    :data:`FIM_CHUNK_PAIRS` at a time.  Each chunk's 8x8 blocks
+    (:func:`pair_information_blocks`) are added with the unbuffered
+    ``np.add.at`` straight into a Fortran-ordered matrix, the layout LAPACK
+    reads; the reference antenna's components are not parameters and are
+    dropped.  Every entry is summed in pair order, so the result is
+    bit-reproducible, and the working memory is the matrix plus one chunk.
     """
-    fim_pair, gidx = pair_information_blocks(inputs)
-    dim = 4 * (inputs.frontend.n_antennas - 1)
-    flat = (gidx[:, :, None] * (dim + 1) + gidx[:, None, :]).ravel()
-    fim = np.bincount(flat, weights=fim_pair.ravel(), minlength=(dim + 1) ** 2)
-    return fim.reshape(dim + 1, dim + 1)[:dim, :dim]
+    fe = inputs.frontend
+    ref = fe.ref
+    pair_mask = inputs.mask & inputs.mask.T
+    # an empty mask, or a component without the reference, leaves the FIM
+    # singular, which the Cholesky factorisation may miss by rounding
+    check_connected(pair_mask)
+    n_all, m_all = np.nonzero(np.triu(pair_mask, k=1))
+    dim = 4 * (fe.n_antennas - 1)
+    # column-major storage: entry (i, j) sits at i + dim * j
+    fim = np.zeros(dim * dim)
+    local = np.tile(np.arange(4), 2)
+    for start in range(0, n_all.size, FIM_CHUNK_PAIRS):
+        n_idx = n_all[start : start + FIM_CHUNK_PAIRS]
+        m_idx = m_all[start : start + FIM_CHUNK_PAIRS]
+        blocks = pair_information_blocks(inputs, n_idx, m_idx)
+        # the antenna and the global slot of each pair's eight components
+        owner = np.repeat(np.stack([n_idx, m_idx], axis=1), 4, axis=1)
+        slots = _theta_slot(owner, ref) + local
+        is_param = owner != ref
+        keep = is_param[:, :, None] & is_param[:, None, :]
+        flat = slots[:, :, None] + dim * slots[:, None, :]
+        np.add.at(fim, flat[keep], blocks[keep])
+    return fim.reshape((dim, dim), order="F")
 
 
 def coefficient_jacobian(frontend: FrontEnd) -> np.ndarray:
     """Complex Jacobian of c_m = t_m / r_m w.r.t. the stacked real parameters."""
     M = frontend.n_antennas
     ref = frontend.ref
-    t, r = frontend.tx, frontend.rx
+    antennas = np.flatnonzero(np.arange(M) != ref)
+    base = _theta_slot(antennas, ref)
+    t, r = frontend.tx[antennas], frontend.rx[antennas]
     jac = np.zeros((M, 4 * (M - 1)), dtype=complex)
-    for m in range(M):
-        if m == ref:
-            continue
-        base = _theta_slot(m, ref)
-        jac[m, base + 0] = 1.0 / r[m]
-        jac[m, base + 1] = 1j / r[m]
-        jac[m, base + 2] = -t[m] / r[m] ** 2
-        jac[m, base + 3] = -1j * t[m] / r[m] ** 2
+    jac[antennas, base + 0] = 1.0 / r
+    jac[antennas, base + 1] = 1j / r
+    # np.power takes the complex power elementwise, as a scalar r ** 2 does;
+    # an array's r ** 2 squares by a vectorised multiply that rounds otherwise
+    r2 = np.power(r, 2)
+    jac[antennas, base + 2] = -t / r2
+    jac[antennas, base + 3] = -1j * t / r2
     return jac
 
 
@@ -242,9 +246,9 @@ def crlb_coefficients(inputs: CrlbInputs) -> CrlbReport:
     each term is a squared norm, ||L^-1 a^T||^2 + ||L^-1 b^T||^2: one real
     triangular solve with 2M right-hand sides gives every bound.
     """
-    # one Fortran-ordered copy: the factorisation copies it and checks it is
-    # finite, and the eigensolve then works in it in place
-    fim = np.asfortranarray(fisher_information(inputs))
+    # the FIM is Fortran-ordered: the factorisation copies it and checks it
+    # is finite, and the eigensolve then works in it in place
+    fim = fisher_information(inputs)
     try:
         chol, _ = scipy.linalg.cho_factor(fim, lower=True)
     except scipy.linalg.LinAlgError as exc:

@@ -92,19 +92,17 @@ def random_crlb_instance(n_antennas: int, seed: int, sigma2: float = 1e-4, noise
     return CrlbInputs(fe, hbar, sigma2, noise_var, full_mask(n_antennas))
 
 
-def pair_information_blocks_einsum(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair 8x8 information blocks and global indices, term by term.
+def pair_information_blocks_einsum(inputs: CrlbInputs) -> np.ndarray:
+    """Per-pair 8x8 information blocks of every measured pair, term by term.
 
     The generic complex Gaussian information
     tr(S^-1 dS_i S^-1 dS_j) + 2 Re(dmu_i^H S^-1 dmu_j), evaluated with
     ``einsum`` over full (P, 8, 2) and (P, 8, 2, 2) derivative stacks built
     here from the front-end, for comparison with the closed form of
-    :func:`recical.crlb.pair_information_blocks` (same shapes and order).
+    :func:`recical.crlb.pair_information_blocks` (same shape and pair order).
     """
-    fe = inputs.frontend
-    M, ref = fe.n_antennas, fe.ref
-    n_idx, m_idx = np.nonzero(np.triu(inputs.mask & inputs.mask.T, k=1))
-    t, r = fe.tx, fe.rx
+    n_idx, m_idx = measured_pairs(inputs)
+    t, r = inputs.frontend.tx, inputs.frontend.rx
     v = np.stack([r[n_idx] * t[m_idx], r[m_idx] * t[n_idx]], axis=1)
     dv = np.zeros((n_idx.size, 8, 2), dtype=complex)
     dv[:, 0, 1] = r[m_idx]       # d b / d Re t_n
@@ -129,24 +127,54 @@ def pair_information_blocks_einsum(inputs: CrlbInputs) -> tuple[np.ndarray, np.n
     g = np.einsum("pic,pcd,pjd->pij", dv.conj(), sinv, dv)
     tmat = np.einsum("pcd,pide->pice", sinv, ds)
     blocks = 2 * habs2[:, None, None] * g.real + np.einsum("picd,pjdc->pij", tmat, tmat).real
+    return blocks.astype(float)
 
-    dim = 4 * (M - 1)
+
+def measured_pairs(inputs: CrlbInputs) -> tuple[np.ndarray, np.ndarray]:
+    """Antennas (n, m), n < m, of every bidirectionally measured pair, in row order."""
+    return np.nonzero(np.triu(inputs.mask & inputs.mask.T, k=1))
+
+
+def pair_global_slots(inputs: CrlbInputs) -> np.ndarray:
+    """Slot of each measured pair's eight components in the stacked real parameters.
+
+    Shape (P, 8), components as in :data:`recical.crlb.PAIR_PARAMS`; the
+    reference antenna's components go to the scratch slot ``4 * (M - 1)``.
+    """
+    fe = inputs.frontend
+    dim = 4 * (fe.n_antennas - 1)
     slots = []
-    for antenna in (n_idx, m_idx):
-        first = 4 * (antenna - (antenna > ref))
-        slots.append(np.where(antenna[:, None] == ref, dim, first[:, None] + np.arange(4)))
-    return blocks.astype(float), np.concatenate(slots, axis=1)
+    for antenna in measured_pairs(inputs):
+        first = 4 * (antenna - (antenna > fe.ref))
+        slots.append(np.where(antenna[:, None] == fe.ref, dim, first[:, None] + np.arange(4)))
+    return np.concatenate(slots, axis=1)
 
 
 def scatter_add_at(blocks: np.ndarray, gidx: np.ndarray, dim: int) -> np.ndarray:
     """Fisher information assembled with ``np.add.at`` from per-pair blocks.
 
-    ``blocks`` and ``gidx`` are what :func:`recical.crlb.pair_information_blocks`
-    returns; slot ``dim`` is the reference antenna's scratch slot.
+    ``gidx`` is :func:`pair_global_slots`; slot ``dim`` is the reference
+    antenna's scratch slot, sliced away.
     """
     fim = np.zeros((dim + 1, dim + 1))
     np.add.at(fim, (gidx[:, :, None], gidx[:, None, :]), blocks)
     return fim[:dim, :dim]
+
+
+def coefficient_jacobian_loop(frontend: FrontEnd) -> np.ndarray:
+    """Complex Jacobian of c_m = t_m / r_m, filled antenna by antenna with scalars."""
+    M, ref = frontend.n_antennas, frontend.ref
+    t, r = frontend.tx, frontend.rx
+    jac = np.zeros((M, 4 * (M - 1)), dtype=complex)
+    for m in range(M):
+        if m == ref:
+            continue
+        base = 4 * (m - (m > ref))
+        jac[m, base + 0] = 1.0 / r[m]
+        jac[m, base + 1] = 1j / r[m]
+        jac[m, base + 2] = -t[m] / r[m] ** 2
+        jac[m, base + 3] = -1j * t[m] / r[m] ** 2
+    return jac
 
 
 def crlb_bound_complex_solve(inputs: CrlbInputs) -> np.ndarray:

@@ -1,21 +1,28 @@
 """Fisher information and the calibration-coefficient variance bound."""
 
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import (
+    coefficient_jacobian_loop,
     crlb_bound_complex_solve,
     finite_difference_worst_error,
+    measured_pairs,
+    pair_global_slots,
     pair_information_blocks_einsum,
     random_crlb_instance,
     scatter_add_at,
 )
 
+from recical import crlb
 from recical.crlb import (
     CrlbInputs,
+    coefficient_jacobian,
     crlb_coefficients,
     fisher_information,
     pair_information_blocks,
@@ -42,6 +49,24 @@ def crlb_instance(coupling, rows, cols, radius, ref, multipath, noise_var, seed)
     hbar = draw_coupling(geom, coupling, rng)
     mask = full_mask(geom.n_antennas) if radius is None else reduced_mask(geom, radius)
     return CrlbInputs(fe, hbar, coupling.sigma2 if multipath else 0.0, noise_var, mask)
+
+
+def add_at_in_chunks(inputs):
+    """The oracle FIM from the blocks of the chunks ``fisher_information`` takes.
+
+    Blocks come from :func:`recical.crlb.pair_information_blocks`, called on
+    the measured pairs :data:`recical.crlb.FIM_CHUNK_PAIRS` at a time, and
+    are scattered by ``np.add.at`` to slots computed here.
+    """
+    n_idx, m_idx = measured_pairs(inputs)
+    size = crlb.FIM_CHUNK_PAIRS
+    blocks = np.concatenate(
+        [
+            pair_information_blocks(inputs, n_idx[start : start + size], m_idx[start : start + size])
+            for start in range(0, n_idx.size, size)
+        ]
+    )
+    return scatter_add_at(blocks, pair_global_slots(inputs), 4 * (inputs.frontend.n_antennas - 1))
 
 
 @st.composite
@@ -161,18 +186,16 @@ class TestFisherInformation:
         rows, cols, radius, ref, sigma2, noise_var, seed = case
         base = crlb_instance(coupling, rows, cols, radius, ref, False, noise_var, seed)
         inputs = CrlbInputs(base.frontend, base.coupling_mean, sigma2, noise_var, base.mask)
-        blocks, gidx = pair_information_blocks(inputs)
-        expected, expected_gidx = pair_information_blocks_einsum(inputs)
-        assert np.array_equal(gidx, expected_gidx)
+        blocks = pair_information_blocks(inputs, *measured_pairs(inputs))
+        expected = pair_information_blocks_einsum(inputs)
         scale = np.abs(expected).max(axis=(1, 2))
         assert np.all(np.abs(blocks - expected).max(axis=(1, 2)) <= 1e-12 * scale)
 
-    @given(crlb_cases())
-    def test_bincount_scatter_matches_add_at(self, coupling, case):
+    @given(crlb_cases(), st.sampled_from([1, 7, 64, crlb.FIM_CHUNK_PAIRS]))
+    def test_bincount_scatter_matches_add_at(self, coupling, case, chunk):
         inputs = crlb_instance(coupling, *case)
-        dim = 4 * (inputs.frontend.n_antennas - 1)
-        expected = scatter_add_at(*pair_information_blocks(inputs), dim)
-        assert np.array_equal(fisher_information(inputs), expected)
+        with mock.patch.object(crlb, "FIM_CHUNK_PAIRS", chunk):
+            assert np.array_equal(fisher_information(inputs), add_at_in_chunks(inputs))
 
     @pytest.mark.parametrize("radius", [None, 1.5])
     @pytest.mark.parametrize("rows, cols", [(3, 7), (4, 25), (8, 25)])
@@ -180,8 +203,34 @@ class TestFisherInformation:
         m = rows * cols
         for ref, noise_var in ((0, 1e-10), (m // 2, 1e-6), (m - 1, 1e-3)):
             inputs = crlb_instance(coupling, rows, cols, radius, ref, True, noise_var, seed=ref)
-            expected = scatter_add_at(*pair_information_blocks(inputs), 4 * (m - 1))
-            assert np.array_equal(fisher_information(inputs), expected)
+            assert np.array_equal(fisher_information(inputs), add_at_in_chunks(inputs))
+
+    @pytest.mark.parametrize("ref, chunk", [(0, 10), (10, 160), (18, 208), (20, 19)])
+    def test_chunk_boundary_next_to_reference(self, coupling, ref, chunk):
+        # on a full 3x7 array a boundary of chunks of this size splits a row
+        # of pairs between two pairs, one of which has the reference antenna;
+        # the sum may then move only by rounding
+        inputs = crlb_instance(coupling, 3, 7, None, ref, True, 1e-8, seed=ref)
+        n_idx, m_idx = measured_pairs(inputs)
+        assert n_idx[chunk - 1] == n_idx[chunk]
+        assert ref in (m_idx[chunk - 1], n_idx[chunk], m_idx[chunk])
+        whole = fisher_information(inputs)
+        with mock.patch.object(crlb, "FIM_CHUNK_PAIRS", chunk):
+            chunked = fisher_information(inputs)
+            assert np.array_equal(chunked, add_at_in_chunks(inputs))
+        assert np.abs(chunked - whole).max() <= 1e-12 * np.abs(whole).max()
+
+    def test_working_memory_is_the_matrix_and_one_chunk(self, coupling):
+        # 8x25, full mask: 19,900 pairs into a 796 x 796 matrix of 5.1 MB
+        inputs = crlb_instance(coupling, 8, 25, None, 88, True, 1e-8, seed=0)
+        tracemalloc.start()
+        try:
+            fim = fisher_information(inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fim.flags.f_contiguous
+        assert peak <= 3 * fim.nbytes
 
     def test_zero_noise_rejected(self):
         inputs = random_crlb_instance(3, seed=4, sigma2=1e-4, noise_var=0.0)
@@ -207,6 +256,11 @@ class TestFisherInformation:
 
 
 class TestCrlbCoefficients:
+    @pytest.mark.parametrize("rows, cols, ref", [(2, 5, 3), (8, 25, 0), (8, 25, 88), (8, 25, 199)])
+    def test_jacobian_matches_per_antenna_loop(self, rows, cols, ref):
+        fe = random_frontend(rows * cols, ref, 0.3, np.random.default_rng(ref))
+        assert np.array_equal(coefficient_jacobian(fe), coefficient_jacobian_loop(fe))
+
     def test_bound_positive_and_ref_undefined(self):
         inputs = random_crlb_instance(5, seed=7)
         report = crlb_coefficients(inputs)

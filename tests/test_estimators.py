@@ -66,6 +66,18 @@ def sounding_cases(draw):
     return rows, cols, radius, ref, noise_var, seed
 
 
+@st.composite
+def fixed_point_cases(draw):
+    """Random array, mask radius (None: full), reference, and noise from -100 to -40 dB."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(2, 7))
+    radius = draw(st.sampled_from([None, 0.5, 0.75, 1.5]))
+    ref = draw(st.integers(0, rows * cols - 1))
+    noise_var = 10.0 ** (draw(st.integers(-100, -40)) / 10.0)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return rows, cols, radius, ref, noise_var, seed
+
+
 def sounded(coupling, case):
     """Sounding data of one ``sounding_cases`` draw, with its reference."""
     rows, cols, radius, ref, noise_var, seed = case
@@ -182,6 +194,17 @@ class TestEm:
         y_norm = np.linalg.norm(np.where(data.pairs, data.matrix, 0))
         assert psi_res < 1e-6 * y_norm
         assert c_res < 1e-6 * y_norm
+
+    @given(fixed_point_cases())
+    def test_converged_run_is_a_fixed_point(self, coupling, case):
+        # the ACCEPTANCE 08 bound, over random geometries, masks and references
+        data, ref = sounded(coupling, case)
+        est = em_calibrate(data, EmSettings(ref=ref, delta_ml=1e-22))
+        if est.converged:
+            y_norm = np.linalg.norm(data.measured)
+            psi_res, c_res = em_fixed_point_residuals(data, est)
+            assert psi_res < 1e-6 * y_norm
+            assert c_res < 1e-6 * y_norm
 
     def test_objective_monotone_noninincreasing(self, coupling):
         data, _ = make_data(3, 4, coupling, 1e-4, seed=13, ref=1)
