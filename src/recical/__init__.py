@@ -23,6 +23,7 @@ from .estimators import (
     CalibrationEstimate,
     EmSettings,
     em_calibrate,
+    em_iterates,
     gmm_estimate,
     linear_array_ml,
     score_mse,
@@ -78,6 +79,7 @@ __all__ = [
     "draw_channel",
     "draw_coupling",
     "em_calibrate",
+    "em_iterates",
     "equivalent_channel",
     "evm",
     "fisher_information",

@@ -10,7 +10,8 @@ converges to a joint penalized-ML stationary point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -27,15 +28,6 @@ _DEGENERACY_FRACTION = 1e-12
 
 
 @dataclass
-class EmHistory:
-    """Per-iteration trace of an EM run (kept only on request)."""
-
-    coefficients: list[np.ndarray] = field(default_factory=list)
-    deltas: list[float] = field(default_factory=list)
-    objectives: list[float] = field(default_factory=list)
-
-
-@dataclass
 class CalibrationEstimate:
     """Estimated coefficient vector plus the EM run that produced it, if any."""
 
@@ -43,7 +35,6 @@ class CalibrationEstimate:
     iterations: int = 0
     epsilon: float = 0.0
     converged: bool = True
-    history: EmHistory | None = None
 
 
 @dataclass
@@ -63,7 +54,6 @@ class EmSettings:
     max_iter: int | None = None
     init: str | np.ndarray = "gmm"
     ref: int | None = None
-    keep_history: bool = False
 
     def __post_init__(self) -> None:
         if self.epsilon < 0:
@@ -80,10 +70,9 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
     With ``ref-one`` the reference coefficient is pinned to exactly 1 and the
     remaining entries solve the stationarity system of the quadratic cost.
     With ``unit-norm`` the estimate is the unit eigenvector of the smallest
-    eigenvalue of the moment matrix, rotated so the anchor entry (``ref`` if
-    given, else the largest-magnitude one) is real positive.  Only that
-    smallest eigenpair is computed (LAPACK's MRRR solver after the cubic
-    tridiagonal reduction), not the whole spectrum.
+    eigenvalue of the moment matrix (the sounding's
+    ``smallest_eigenvector``), rotated so the anchor entry (``ref`` if given,
+    else the largest-magnitude one) is real positive.
     """
     q = data.moments
     M = data.n_antennas
@@ -107,21 +96,13 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
         return CalibrationEstimate(c)
 
     if constraint == UNIT_NORM:
-        _, vecs = scipy.linalg.eigh(q, subset_by_index=[0, 0])
-        c = vecs[:, 0]
+        c = data.smallest_eigenvector
         anchor = ref if ref is not None else int(np.argmax(np.abs(c)))
-        if np.abs(c[anchor]) > 0:
-            c = c * (np.abs(c[anchor]) / c[anchor])
-        return CalibrationEstimate(c)
+        # a fresh vector either way: the sounding keeps its eigenvector
+        rotation = np.abs(c[anchor]) / c[anchor] if np.abs(c[anchor]) > 0 else 1.0
+        return CalibrationEstimate(c * rotation)
 
     raise ValueError(f"constraint must be '{REF_ONE}' or '{UNIT_NORM}', got {constraint!r}")
-
-
-def _em_objective(y, pair_mask, psi, c, epsilon) -> float:
-    """Penalized least-squares objective over the measured entries."""
-    resid = np.where(pair_mask, y - psi * c[None, :], 0.0)
-    pen = epsilon * (np.sum(np.abs(c) ** 2) + np.sum(np.abs(psi) ** 2))
-    return float(np.sum(np.abs(resid) ** 2) + pen)
 
 
 def _em_psi_step(y, yt, off_mask, c, epsilon) -> np.ndarray:
@@ -151,19 +132,18 @@ def _em_c_step(y, psi, epsilon) -> tuple[np.ndarray, np.ndarray]:
     return num, den
 
 
-def em_calibrate(
+def em_iterates(
     data: SoundingData,
     settings: EmSettings | None = None,
     rng: np.random.Generator | None = None,
-) -> CalibrationEstimate:
-    """Joint penalized-ML estimate via alternating closed-form updates.
+) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """EM's iterates ``(c, psi, delta)``, one after each step.
 
-    Each iteration updates every equivalent-channel entry from the current
-    coefficients and then every coefficient from the updated channel, both in
-    scalar closed form, so one iteration costs O(number of measured pairs).
-    Iteration stops when the squared step ||c_new - c_old||^2 drops below
-    ``settings.delta_ml`` or ``settings.max_iter`` is reached (the latter is
-    flagged through ``converged=False``).
+    A step updates the equivalent channel ``psi`` from ``c``, then ``c`` from
+    ``psi``, entry by entry in closed form, in O(measured pairs); ``delta`` is
+    the squared step ||c_new - c_old||^2.  The iterates end after the first
+    step whose delta is below ``settings.delta_ml``, or after
+    ``settings.max_iter`` steps.
     """
     settings = settings or EmSettings()
     y = data.measured
@@ -187,12 +167,9 @@ def em_calibrate(
 
     eps = settings.epsilon
     init_norm = float(np.linalg.norm(c))
-    history = EmHistory() if settings.keep_history else None
-    converged = False
-    iterations = 0
     yt = np.ascontiguousarray(y.T)
     off_mask = ~data.pairs
-    for iterations in range(1, max_iter + 1):
+    for _ in range(max_iter):
         psi = _em_psi_step(y, yt, off_mask, c, eps)
         num, den = _em_c_step(y, psi, eps)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -209,19 +186,29 @@ def em_calibrate(
                 "coefficients drifted to the all-zero solution "
                 f"(norm fell below {_DEGENERACY_FRACTION} of the initial norm)"
             )
-        if history is not None:
-            history.coefficients.append(c.copy())
-            history.deltas.append(delta)
-            history.objectives.append(_em_objective(y, data.pairs, psi, c, eps))
+        yield c, psi, delta
         if delta < settings.delta_ml:
-            converged = True
-            break
+            return
+
+
+def em_calibrate(
+    data: SoundingData,
+    settings: EmSettings | None = None,
+    rng: np.random.Generator | None = None,
+) -> CalibrationEstimate:
+    """Joint penalized-ML estimate: the last of :func:`em_iterates`.
+
+    A run that ends at ``settings.max_iter`` steps without meeting
+    ``settings.delta_ml`` is flagged through ``converged=False``.
+    """
+    settings = settings or EmSettings()
+    for iterations, (c, _, delta) in enumerate(em_iterates(data, settings, rng), 1):
+        pass
     return CalibrationEstimate(
         c,
         iterations=iterations,
         epsilon=settings.epsilon,
-        converged=converged,
-        history=history,
+        converged=delta < settings.delta_ml,
     )
 
 
@@ -243,18 +230,6 @@ def em_fixed_point_residuals(data: SoundingData, estimate: CalibrationEstimate) 
         float(np.linalg.norm(psi_next - psi)),
         float(np.linalg.norm(c_next - estimate.c_hat)),
     )
-
-
-def em_coefficient_gradient(data: SoundingData, estimate: CalibrationEstimate) -> np.ndarray:
-    """Gradient of the penalized objective w.r.t. conj(c) at the estimate.
-
-    The equivalent channel is first refreshed by its own exact update, so a
-    converged run must make this vanish up to the convergence threshold.
-    """
-    y = data.measured
-    psi = _em_psi_step(y, y.T, ~data.pairs, estimate.c_hat, estimate.epsilon)
-    num, den = _em_c_step(y, psi, estimate.epsilon)
-    return den * estimate.c_hat - num
 
 
 def _chain_mask(n_antennas: int) -> np.ndarray:

@@ -32,7 +32,8 @@ import ctypes
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from . import __version__
 from .config import EXPERIMENT_IDS, ExperimentConfig, db_to_linear
 from .crlb import CrlbInputs, CrlbReport, crlb_coefficients
 from .downlink import EM_VARIANT, GMM_VARIANT, PERFECT, PRECODERS, TRUE_CSI, UNCALIBRATED, draw_scenario, variant_sum_rates
-from .estimators import UNIT_NORM, EmSettings, em_calibrate, gmm_estimate, score_mse
+from .estimators import EmSettings, em_calibrate, em_iterates, gmm_estimate, score_mse
 from .frontend import FrontEnd, deterministic_frontend, random_frontend, true_coefficients
 from .geometry import ArrayGeometry, CouplingModel, build_geometry, draw_channel, draw_coupling, full_mask, reduced_mask
 from .sounding import sound
@@ -142,14 +143,9 @@ def build_setup(config: ExperimentConfig) -> tuple[ArrayGeometry, CouplingModel,
     return geom, model, fe
 
 
-def _em_settings(config: ExperimentConfig, epsilon: float | None = None) -> EmSettings:
+def _em_settings(config: ExperimentConfig) -> EmSettings:
     est = config.estimator
-    return EmSettings(
-        epsilon=est.epsilon if epsilon is None else epsilon,
-        delta_ml=est.delta_ml,
-        max_iter=est.max_iter,
-        ref=config.array.ref_index,
-    )
+    return EmSettings(epsilon=est.epsilon, delta_ml=est.delta_ml, max_iter=est.max_iter, ref=config.array.ref_index)
 
 
 def _db(x: float) -> float:
@@ -306,29 +302,25 @@ def run_mse_sweep(config: ExperimentConfig) -> Tables:
 def _convergence_trial(t: int) -> list[np.ndarray]:
     """Per epsilon, rows of EM's per-iteration MSE and step over the tracked iterations.
 
-    Every epsilon runs on the trial's one sounding from one unit-norm GMM
-    estimate, the start EM's default init computes; a converged run holds
-    its final values.
+    Every epsilon runs on the trial's one sounding, so they all start from
+    its one unit-norm GMM estimate.  Only the tracked iterations are run; a
+    run that converges earlier holds its final values.
     """
     ctx = _CTX
     config = ctx.config
     (data,) = ctx.soundings([db_to_linear(config.convergence.n0_db)], ctx.trial_stream(t))
     ref = ctx.frontend.ref
-    init = gmm_estimate(data, UNIT_NORM, ref=ref).c_hat
     track = config.convergence.track_iterations
     others = np.arange(ctx.geometry.n_antennas) != ref
     c_others = true_coefficients(ctx.frontend)[others]
     results = []
     for eps in config.estimator.epsilon_grid:
-        settings = _em_settings(config, epsilon=eps)
-        settings.init = init
-        settings.keep_history = True
-        history = em_calibrate(data, settings).history
-        coeffs = np.array(history.coefficients[:track])
+        iterates = islice(em_iterates(data, replace(_em_settings(config), epsilon=eps)), track)
+        coeffs, deltas = map(np.array, zip(*((c, delta) for c, _, delta in iterates)))
         errors = c_others - coeffs[:, others] / coeffs[:, ref, None]
         # one mean per row: a mean along axis 1 sums in another order
         mse = [np.mean(np.abs(e) ** 2) for e in errors]
-        traces = np.stack([mse, history.deltas[:track]])
+        traces = np.stack([mse, deltas])
         results.append(np.pad(traces, ((0, 0), (0, track - traces.shape[1])), mode="edge"))
     return results
 
@@ -350,8 +342,6 @@ def _capacity_trial(t: int) -> dict[str, dict[str, float]]:
     The trial's stream draws the channel and sounds it, only when a
     calibrating variant asks for it, then draws the downlink scenario.  The
     GMM and EM estimates are normalized to the reference before precoding.
-    A unit-norm GMM estimate is also EM's start, the one its default init
-    computes.
     """
     ctx = _CTX
     cap = ctx.config.capacity
@@ -363,13 +353,10 @@ def _capacity_trial(t: int) -> dict[str, dict[str, float]]:
     if {GMM_VARIANT, EM_VARIANT} & set(cap.variants):
         (data,) = ctx.soundings([db_to_linear(cap.cal_n0_db)], rng)
         estimates = {}
-        settings = _em_settings(ctx.config)
         if GMM_VARIANT in cap.variants:
             estimates[GMM_VARIANT] = gmm_estimate(data, cap.gmm_constraint, ref=ref).c_hat
-            if cap.gmm_constraint == UNIT_NORM:
-                settings.init = estimates[GMM_VARIANT]
         if EM_VARIANT in cap.variants:
-            estimates[EM_VARIANT] = em_calibrate(data, settings).c_hat
+            estimates[EM_VARIANT] = em_calibrate(data, _em_settings(ctx.config)).c_hat
         coefficients.update({variant: c / c[ref] for variant, c in estimates.items()})
     scenario = draw_scenario(
         ctx.frontend, cap.n_users, rng, noise_var=db_to_linear(cap.dl_noise_db), reciprocal_users=cap.reciprocal_users

@@ -11,8 +11,9 @@ import numpy as np
 class FrontEnd:
     """Per-antenna transmit/receive chain gains with a reference antenna.
 
-    Both gain vectors are normalized so the reference entry equals one,
-    which pins the calibration coefficient of the reference to exactly 1.
+    The constructors below divide both gain vectors by their reference
+    entry, which pins the calibration coefficient of the reference to
+    exactly 1; a front-end built directly keeps the gains it is given.
     """
 
     tx: np.ndarray

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .frontend import FrontEnd
 from .geometry import check_connected, full_mask
@@ -21,9 +22,9 @@ from .geometry import check_connected, full_mask
 class SoundingData:
     """One round of pairwise measurements plus the mask that was measured.
 
-    The estimators read ``pairs``, ``measured`` and ``moments``, each derived
-    on first use and kept, so the arrays must not be changed after the first
-    estimator call on a sounding.
+    The estimators read ``pairs``, ``measured``, ``moments`` and
+    ``smallest_eigenvector``, each derived on first use and kept, so the
+    arrays must not be changed after the first estimator call on a sounding.
     """
 
     matrix: np.ndarray      # (M, M) complex, NaN outside the mask
@@ -59,6 +60,16 @@ class SoundingData:
         np.subtract(0.0, q, out=q)  # 0 - x, not -x: unmeasured pairs stay +0
         q[np.diag_indices_from(q)] += np.sum(np.abs(y) ** 2, axis=1)
         return q
+
+    @cached_property
+    def smallest_eigenvector(self) -> np.ndarray:
+        """Unit eigenvector of the smallest eigenvalue of ``moments``.
+
+        The unit-norm GMM and EM's default start both read it, so a sounding
+        runs one eigensolve.  Only that eigenpair is computed (LAPACK's MRRR
+        solver after the cubic tridiagonal reduction), not the whole spectrum.
+        """
+        return scipy.linalg.eigh(self.moments, subset_by_index=[0, 0])[1][:, 0]
 
 
 def sound(

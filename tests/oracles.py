@@ -199,3 +199,10 @@ def unit_norm_gmm_full_eigh(data: SoundingData, ref: int | None) -> np.ndarray:
     if np.abs(c[anchor]) > 0:
         c = c * (np.abs(c[anchor]) / c[anchor])
     return c
+
+
+def em_objective(data: SoundingData, c: np.ndarray, psi: np.ndarray, epsilon: float) -> float:
+    """EM's penalized least-squares objective over the measured pairs."""
+    resid = np.where(data.pairs, data.measured - psi * c[None, :], 0.0)
+    pen = epsilon * (np.sum(np.abs(c) ** 2) + np.sum(np.abs(psi) ** 2))
+    return float(np.sum(np.abs(resid) ** 2) + pen)

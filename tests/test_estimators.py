@@ -4,17 +4,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import unit_norm_gmm_full_eigh
+from oracles import em_objective, unit_norm_gmm_full_eigh
 
 import recical.sounding
+from recical import experiments
+from recical.config import config_from_dict
 from recical.errors import DegeneracyError, IdentifiabilityError
 from recical.estimators import (
     EmSettings,
     em_calibrate,
-    em_coefficient_gradient,
     em_fixed_point_residuals,
+    em_iterates,
     gmm_estimate,
     linear_array_ml,
     score_mse,
@@ -183,9 +186,12 @@ class TestEm:
         data, _ = make_data(2, 5, coupling, 1e-6, seed=11, ref=2)
         est = em_calibrate(data, EmSettings(ref=2, delta_ml=1e-22))
         assert est.converged
-        y_norm = np.linalg.norm(np.where(data.pairs, data.matrix, 0))
-        grad = em_coefficient_gradient(data, est)
-        assert np.linalg.norm(grad) < 1e-6 * y_norm
+        # den * (c' - c) is the objective's gradient in conj(c), and den << 1
+        # here, so this bound on ||c' - c|| also bounds the gradient
+        y_norm = np.linalg.norm(data.measured)
+        psi_res, c_res = em_fixed_point_residuals(data, est)
+        assert psi_res < 1e-6 * y_norm
+        assert c_res < 1e-6 * y_norm
 
     def test_fixed_point_residuals_vanish(self, coupling):
         data, _ = make_data(2, 4, coupling, 1e-5, seed=12, ref=0)
@@ -208,8 +214,9 @@ class TestEm:
 
     def test_objective_monotone_noninincreasing(self, coupling):
         data, _ = make_data(3, 4, coupling, 1e-4, seed=13, ref=1)
-        est = em_calibrate(data, EmSettings(ref=1, epsilon=0.05, keep_history=True))
-        objectives = np.array(est.history.objectives)
+        eps = 0.05
+        iterates = em_iterates(data, EmSettings(ref=1, epsilon=eps))
+        objectives = np.array([em_objective(data, c, psi, eps) for c, psi, _ in iterates])
         assert np.all(np.diff(objectives) <= 1e-12 * objectives[0])
 
     def test_masked_run_recovers_truth_at_high_snr(self, coupling):
@@ -247,6 +254,21 @@ class TestEm:
         )
         assert np.array_equal(default.c_hat, explicit.c_hat)
         assert default.iterations == explicit.iterations
+
+    @given(sounding_cases(), st.integers(1, 60))
+    def test_calibrate_returns_the_last_iterate(self, coupling, case, max_iter):
+        data, ref = sounded(coupling, case)
+        settings = EmSettings(ref=ref, max_iter=max_iter)
+        iterates = list(em_iterates(data, settings))
+        est = em_calibrate(data, settings)
+        assert np.array_equal(est.c_hat, iterates[-1][0])
+        assert est.iterations == len(iterates)
+        assert est.converged == (iterates[-1][2] < settings.delta_ml)
+        # a threshold out of reach runs every step, unless one lands exactly
+        # on a fixed point (a noiseless 1x2 sounding does at its third step)
+        fixed = EmSettings(ref=ref, max_iter=max_iter, delta_ml=1e-300)
+        deltas = [delta for _, _, delta in em_iterates(data, fixed)]
+        assert len(deltas) == max_iter or deltas[-1] == 0.0
 
     def test_random_init_requires_rng(self, coupling):
         data, _ = make_data(1, 3, coupling, 1e-6, seed=18)
@@ -324,6 +346,34 @@ class TestDerivedInputs:
         gmm_estimate(data, ref=3)
         em_calibrate(data, EmSettings(ref=3))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            ("mse-sweep", {"estimator": {"gmm_constraint": "unit-norm"}}),
+            ("mse-sweep", {"estimator": {"gmm_constraint": "ref-one"}}),
+            ("capacity", {"capacity": {"n_users": 4}}),
+            ("convergence", {"estimator": {"epsilon_grid": [0.0, 0.1]}, "convergence": {"track_iterations": 4}}),
+        ],
+    )
+    def test_one_eigensolve_per_sounding(self, tmp_path, monkeypatch, experiment, overrides):
+        # the unit-norm GMM and EM's default start share the sounding's one eigensolve
+        counts = {"eigh": 0, "sound": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counted("eigh", scipy.linalg.eigh))
+        monkeypatch.setattr(experiments, "sound", counted("sound", experiments.sound))
+        payload = {"experiment": experiment, "seed": 4, "trials": 3, "out_dir": str(tmp_path),
+                   "array": {"rows": 2, "cols": 5, "ref": 3},
+                   "mse_sweep": {"n0_grid_db": [-80.0, -40.0], "antennas": [1, 2]}}
+        experiments.run_experiment(config_from_dict({**payload, **overrides}))
+        assert counts["sound"] > 0
+        assert counts["eigh"] == counts["sound"]
 
     def test_sounding_is_frozen(self, coupling):
         data, _ = make_data(1, 3, coupling, 1e-6, seed=26)
