@@ -40,7 +40,7 @@ from .geometry import (
     pair_distance_polarization,
     reduced_mask,
 )
-from .sounding import SoundingData, equivalent_channel, sound
+from .sounding import SoundingData, sound
 from .wideband import (
     PcaResult,
     WidebandParams,
@@ -80,7 +80,6 @@ __all__ = [
     "draw_coupling",
     "em_calibrate",
     "em_iterates",
-    "equivalent_channel",
     "evm",
     "fisher_information",
     "full_mask",

@@ -199,6 +199,10 @@ class WidebandSection:
             raise ConfigError("offset_range must be [lo, hi] with 0 < lo <= hi")
         if self.mag_slope_max < 0 or self.phase_slope_max < 0:
             raise ConfigError("mag_slope_max and phase_slope_max must be >= 0")
+        if self.phase_slope_max >= 0.25:
+            # the fit sees slopes relative to the reference, up to twice this
+            # bound, and unwrapping folds any slope onto (-1/2, 1/2) cycles
+            raise ConfigError(f"phase_slope_max must be below 0.25 cycles/subcarrier, got {self.phase_slope_max}")
         if not (0 < self.ks_alpha < 1):
             raise ConfigError("ks_alpha must lie in (0, 1)")
 

@@ -19,6 +19,10 @@ import scipy.linalg
 from .errors import DegeneracyError, SingularSystemError
 from .sounding import SoundingData
 
+# LAPACK's Bunch-Kaufman factorisation of a complex Hermitian matrix, its
+# optimal workspace query and the solve with its factor
+_HETRF, _HETRF_LWORK, _HETRS = scipy.linalg.get_lapack_funcs(("hetrf", "hetrf_lwork", "hetrs"), dtype=np.complex128)
+
 REF_ONE = "ref-one"
 UNIT_NORM = "unit-norm"
 
@@ -68,7 +72,13 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
     """Closed-form moment-matching estimate under a non-degeneracy constraint.
 
     With ``ref-one`` the reference coefficient is pinned to exactly 1 and the
-    remaining entries solve the stationarity system of the quadratic cost.
+    remaining entries solve the stationarity system Q_oo c_o = -q_or of the
+    quadratic cost, by LAPACK's Bunch-Kaufman factorisation of Q_oo's upper
+    triangle (``zhetrf``, then ``zhetrs``): the factor and solve of
+    ``scipy.linalg.solve(..., assume_a="her")``, bit for bit, without its
+    condition estimate, so an ill-conditioned system gives no warning.  A
+    zero pivot (the measurements do not determine the remaining
+    coefficients) or a non-finite moment raises ``SingularSystemError``.
     With ``unit-norm`` the estimate is the unit eigenvector of the smallest
     eigenvalue of the moment matrix (the sounding's
     ``smallest_eigenvector``), rotated so the anchor entry (``ref`` if given,
@@ -83,15 +93,20 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
         others = np.arange(M) != ref
         q_oo = q[np.ix_(others, others)]
         q_or = q[others, ref]
-        try:
-            c_others = scipy.linalg.solve(q_oo, -q_or, assume_a="her")
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
+        if not (np.isfinite(q_oo).all() and np.isfinite(q_or).all()):
+            raise SingularSystemError(
+                f"reduced moment system has non-finite entries (M={M}, ref={ref}); "
+                "a measured pair is NaN or infinite"
+            )
+        lwork, _ = _HETRF_LWORK(M - 1)
+        factor, pivots, info = _HETRF(q_oo, lwork=int(lwork.real))
+        if info > 0:
             raise SingularSystemError(
                 f"reduced moment system is singular (M={M}, ref={ref}); "
                 "the measurements do not determine the remaining coefficients"
-            ) from exc
+            )
         c = np.empty(M, dtype=complex)
-        c[others] = c_others
+        c[others] = _HETRS(factor, pivots, -q_or)[0]
         c[ref] = 1.0
         return CalibrationEstimate(c)
 

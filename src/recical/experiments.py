@@ -13,13 +13,15 @@ the manifest only after the whole computation has succeeded, so a run that
 raises leaves nothing behind.
 
 A run opens at most one worker pool, and every task mapped over it is one
-trial (a realization, in wideband).  The mse-sweep, convergence and capacity
+trial (a realization, in wideband).  The pool receives every trial before
+the parent goes on, so mse-sweep's bounds are computed in the parent while
+the workers run the trials.  The mse-sweep, convergence and capacity
 trials share one sounding step: a trial draws its channel once and covers
-all of its noise levels (mse-sweep) or epsilons (convergence), each level
-sounded from the stream position right after the channel draw, so it sees
-the draws a freshly seeded trial stream would give it alone.  A capacity
-trial sounds once, when a calibrating variant asks for it, and then draws
-its downlink scenario from the same stream.
+all of its noise levels (mse-sweep) or epsilons (convergence).  Right after
+the channel it draws its unit noise once, and each level's sounding scales
+that one draw, so it equals what a freshly seeded trial stream would give
+that level alone.  A capacity trial sounds once, when a calibrating variant
+asks for it, and then draws its downlink scenario from the same stream.
 Results are reduced in trial order and floats are written with shortest
 round-trip formatting, so a fixed seed gives byte-identical CSV files no
 matter how many workers run.
@@ -32,6 +34,7 @@ import ctypes
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
@@ -45,7 +48,7 @@ from .downlink import EM_VARIANT, GMM_VARIANT, PERFECT, PRECODERS, TRUE_CSI, UNC
 from .estimators import EmSettings, em_calibrate, em_iterates, gmm_estimate, score_mse
 from .frontend import FrontEnd, deterministic_frontend, random_frontend, true_coefficients
 from .geometry import ArrayGeometry, CouplingModel, build_geometry, draw_channel, draw_coupling, full_mask, reduced_mask
-from .sounding import sound
+from .sounding import draw_unit_noise, sound
 from .wideband import (
     WidebandParams,
     WidebandTruth,
@@ -208,18 +211,33 @@ def _init_worker(ctx) -> None:
     set_allocator_thresholds()
 
 
-def _run_trials(worker, ctx, trials: int) -> list:
-    """``worker(t)`` for every trial ``t``, results in trial order.
+@contextmanager
+def _trials(worker, ctx, trials: int):
+    """``worker(t)`` for every trial ``t``, read in trial order inside the block.
 
-    Trials run in order here, or in the run's one pool of at most one worker
-    per trial (``ctx.config.workers`` at most).
+    Trials run in order as they are read, or in the run's one pool of at
+    most one worker per trial (``ctx.config.workers`` at most).  The pool has
+    every trial before the block starts, so what the parent computes there
+    overlaps the workers; if it raises, the trials not yet started are
+    dropped.  Chunks of about trials / (32 workers) keep the tail where one
+    worker runs alone short.
     """
     workers = min(ctx.config.workers, trials)
     if workers <= 1:
         _init_worker(ctx)
-        return [worker(t) for t in range(trials)]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,)) as ex:
-        return list(ex.map(worker, range(trials), chunksize=max(1, trials // (8 * workers))))
+        yield map(worker, range(trials))
+        return
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,))
+    try:
+        yield pool.map(worker, range(trials), chunksize=max(1, trials // (32 * workers)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_trials(worker, ctx, trials: int) -> list:
+    """``worker(t)`` for every trial ``t``, results in trial order."""
+    with _trials(worker, ctx, trials) as results:
+        return list(results)
 
 
 @dataclass
@@ -239,15 +257,15 @@ class _TrialContext:
     def soundings(self, n0s: list[float], rng: np.random.Generator):
         """A channel drawn from ``rng`` once around the coupling mean, sounded at each noise in ``n0s``.
 
-        Every sounding starts from the stream position right after the
-        channel draw, so each one equals a sounding at that noise alone, and
-        the last leaves ``rng`` where that sounding alone would.
+        The unit noise is drawn once, right after the channel, and every
+        level's sounding scales that one draw.  So each sounding equals a
+        sounding at that noise alone, and ``rng`` is left where one sounding
+        alone leaves it.
         """
         h = draw_channel(self.geometry, self.model, rng, coupling=self.coupling_mean)
-        after_channel = rng.bit_generator.state
+        unit_noise = draw_unit_noise(rng, h.shape[0])
         for n0 in n0s:
-            rng.bit_generator.state = after_channel
-            yield sound(h, self.frontend, n0, rng)
+            yield sound(h, self.frontend, n0, rng, unit_noise=unit_noise)
 
     def bound(self, n0: float, mask: np.ndarray) -> CrlbReport:
         """The Cramer-Rao bound at noise ``n0`` over the pairs in ``mask``."""
@@ -282,9 +300,11 @@ def run_mse_sweep(config: ExperimentConfig) -> Tables:
     mask = full_mask(geom.n_antennas)
     rmask = reduced_mask(geom, config.mse_sweep.reduced_radius)
     n0s = [db_to_linear(n0_db) for n0_db in config.mse_sweep.n0_grid_db]
-    bounds = [[ctx.bound(n0, m).bound for m in (mask, rmask)] for n0 in n0s]
-    # per point, the trials' results in trial order
-    per_point = zip(*_run_trials(_mse_trial, ctx, config.trials))
+    with _trials(_mse_trial, ctx, config.trials) as results:
+        # the parent computes the bounds while the pool's workers run the trials
+        bounds = [[ctx.bound(n0, m).bound for m in (mask, rmask)] for n0 in n0s]
+        # per point, the trials' results in trial order
+        per_point = list(zip(*results))
 
     rows = []
     for n0_db, (bound, bound_r), results in zip(config.mse_sweep.n0_grid_db, bounds, per_point):

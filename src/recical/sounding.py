@@ -72,18 +72,32 @@ class SoundingData:
         return scipy.linalg.eigh(self.moments, subset_by_index=[0, 0])[1][:, 0]
 
 
+def draw_unit_noise(rng: np.random.Generator, n_antennas: int) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian noise, (M, M).
+
+    The real and imaginary parts are two standard-normal M x M draws, in
+    that order; :func:`sound` scales them to the noise variance.
+    """
+    return rng.standard_normal((n_antennas, n_antennas)) + 1j * rng.standard_normal((n_antennas, n_antennas))
+
+
 def sound(
     channel: np.ndarray,
     frontend: FrontEnd,
     noise_var: float,
     rng: np.random.Generator,
     mask: np.ndarray | None = None,
+    *,
+    unit_noise: np.ndarray | None = None,
 ) -> SoundingData:
     """Measure the masked ordered pairs of the array once.
 
     Noise is circularly-symmetric complex Gaussian with variance
     ``noise_var``, independent across ordered pairs, so y[n, m] and y[m, n]
     carry independent noise even though the channel itself is reciprocal.
+    It is ``unit_noise`` scaled by sqrt(noise_var / 2); when that is not
+    given, :func:`draw_unit_noise` draws it from ``rng``.  Soundings of one
+    channel at several noise levels may share one draw.
     """
     if noise_var < 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_var}")
@@ -94,13 +108,9 @@ def sound(
         raise ValueError("mask shape does not match the channel matrix")
     if np.any(np.diag(mask)):
         raise ValueError("mask must not include diagonal (self) pairs")
-    scale = np.sqrt(noise_var / 2.0)
-    noise = scale * (rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
+    if unit_noise is None:
+        unit_noise = draw_unit_noise(rng, M)
+    noise = np.sqrt(noise_var / 2.0) * unit_noise
     clean = frontend.rx[:, None] * channel * frontend.tx[None, :]
     y = np.where(mask, clean + noise, np.nan + 1j * np.nan)
     return SoundingData(y, mask.copy(), noise_var)
-
-
-def equivalent_channel(channel: np.ndarray, frontend: FrontEnd) -> np.ndarray:
-    """Receive-side equivalent channel psi[n, m] = r_n h[n, m] r_m (symmetric)."""
-    return frontend.rx[:, None] * channel * frontend.rx[None, :]

@@ -1,5 +1,7 @@
 """Independent reference computations shared by the test modules."""
 
+import warnings
+
 import numpy as np
 import scipy.linalg
 
@@ -13,6 +15,11 @@ from recical.crlb import (
 )
 from recical.frontend import FrontEnd
 from recical.sounding import SoundingData
+
+
+def equivalent_channel(channel: np.ndarray, frontend: FrontEnd) -> np.ndarray:
+    """Receive-side equivalent channel psi[n, m] = r_n h[n, m] r_m (symmetric)."""
+    return frontend.rx[:, None] * channel * frontend.rx[None, :]
 
 
 def perturbed_frontend(fe: FrontEnd, antenna: int, component: int, step: float) -> FrontEnd:
@@ -198,6 +205,18 @@ def unit_norm_gmm_full_eigh(data: SoundingData, ref: int | None) -> np.ndarray:
     anchor = ref if ref is not None else int(np.argmax(np.abs(c)))
     if np.abs(c[anchor]) > 0:
         c = c * (np.abs(c[anchor]) / c[anchor])
+    return c
+
+
+def ref_one_gmm_scipy_solve(data: SoundingData, ref: int) -> np.ndarray:
+    """Ref-one GMM by ``scipy.linalg.solve(..., assume_a="her")``: c_ref = 1, Q_oo c_o = -q_or."""
+    q = data.moments
+    others = np.arange(data.n_antennas) != ref
+    c = np.empty(data.n_antennas, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        c[others] = scipy.linalg.solve(q[np.ix_(others, others)], -q[others, ref], assume_a="her")
+    c[ref] = 1.0
     return c
 
 

@@ -7,12 +7,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import em_objective, unit_norm_gmm_full_eigh
+from oracles import em_objective, ref_one_gmm_scipy_solve, unit_norm_gmm_full_eigh
 
 import recical.sounding
 from recical import experiments
 from recical.config import config_from_dict
-from recical.errors import DegeneracyError, IdentifiabilityError
+from recical.errors import DegeneracyError, IdentifiabilityError, SingularSystemError
 from recical.estimators import (
     EmSettings,
     em_calibrate,
@@ -160,6 +160,31 @@ class TestGmm:
             for ref in (-1, 3):
                 with pytest.raises(ValueError, match="reference index"):
                     em_calibrate(data, EmSettings(init=init, ref=ref), rng=np.random.default_rng(0))
+
+    def test_ref_one_zero_antenna_is_singular(self, coupling):
+        # every measured pair of antenna 4 reads exactly 0: the mask stays
+        # connected, but Q_oo gets a zero row and column
+        data, _ = make_data(2, 3, coupling, 1e-6, seed=20, ref=0)
+        data.matrix[4, data.mask[4]] = 0.0
+        data.matrix[data.mask[:, 4], 4] = 0.0
+        with pytest.raises(SingularSystemError, match="singular"):
+            gmm_estimate(data, ref=0)
+
+    def test_ref_one_nan_measurement_raises(self, coupling):
+        # a NaN inside a measured pair must not come back as a NaN estimate
+        data, _ = make_data(2, 3, coupling, 1e-6, seed=21, ref=0)
+        assert data.mask[2, 3]
+        data.matrix[2, 3] = np.nan
+        with pytest.raises(SingularSystemError):
+            gmm_estimate(data, ref=0)
+
+    @given(sounding_cases())
+    def test_ref_one_matches_scipy_hermitian_solve(self, coupling, case):
+        # the Bunch-Kaufman factor and solve give the bytes of scipy's solve
+        data, ref = sounded(coupling, case)
+        pinned = 0 if ref is None else ref
+        est = gmm_estimate(data, "ref-one", ref=pinned)
+        assert est.c_hat.tobytes() == ref_one_gmm_scipy_solve(data, pinned).tobytes()
 
     def test_unknown_constraint_rejected(self, coupling):
         data, _ = make_data(1, 3, coupling, 1e-6, seed=8)

@@ -175,6 +175,16 @@ class TestConfig:
                 config_from_dict({"experiment": "wideband", "array": TINY_ARRAY,
                                   "wideband": {"n_subcarriers": 50, key: -1e-5}})
 
+    @pytest.mark.parametrize("bound", [0.25, 0.45])
+    def test_wideband_phase_slope_below_quarter_cycle(self, bound):
+        # slopes relative to the reference reach twice the bound, and a
+        # relative slope past 1/2 would fold silently in the kernel fit
+        with pytest.raises(ConfigError, match="phase_slope_max must be below 0.25"):
+            config_from_dict({"experiment": "wideband", "array": TINY_ARRAY,
+                              "wideband": {"n_subcarriers": 50, "phase_slope_max": bound}})
+        config_from_dict({"experiment": "wideband", "array": TINY_ARRAY,
+                          "wideband": {"n_subcarriers": 50, "phase_slope_max": 0.2499}})
+
     def test_every_experiment_has_a_runner_and_a_section(self):
         # the active section is looked up by the experiment's name
         sections = {f.name for f in fields(ExperimentConfig)}
@@ -279,6 +289,19 @@ class TestRunners:
         out = tmp_path / "run"
         with pytest.raises(RuntimeError, match="KS test failed"):
             run_experiment(config_from_dict({"experiment": "wideband", "out_dir": str(out), **TINY_WIDEBAND}))
+        assert not out.exists()
+
+    def test_bound_failure_while_pool_runs_writes_no_csv(self, tmp_path, monkeypatch):
+        # mse-sweep's bounds are computed after the pool has every trial;
+        # their failure must still fail the run and leave nothing behind
+        def fail(*args, **kwargs):
+            raise ValueError("bound failed")
+
+        monkeypatch.setattr(experiments, "crlb_coefficients", fail)
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="bound failed"):
+            run_experiment(tiny_mse_config(out, trials=40, workers=2, array=TINY_ARRAY,
+                                           mse_sweep={"n0_grid_db": [-80.0], "antennas": [1, 2]}))
         assert not out.exists()
 
     @settings(max_examples=5)  # each example forks a pool
@@ -575,6 +598,18 @@ class TestCli:
         payload = json.loads(result.stderr)
         assert payload["type"] == "ConfigError"
         assert field in payload["error"]
+        assert not out.exists()
+
+    def test_folding_phase_slope_gives_one_line_error_json(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"array": TINY_ARRAY, "wideband": {"n_subcarriers": 50, "phase_slope_max": 0.45}}))
+        out = tmp_path / "out"
+        result = self.run_cli("wideband", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 1
+        assert len(result.stderr.splitlines()) == 1
+        payload = json.loads(result.stderr)
+        assert payload["type"] == "ConfigError"
+        assert "phase_slope_max" in payload["error"]
         assert not out.exists()
 
     def test_integer_and_float_json_write_same_bytes(self, tmp_path):

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from oracles import equivalent_channel
 
 from recical.frontend import FrontEnd, random_frontend, true_coefficients
 from recical.geometry import build_geometry, draw_channel, full_mask, reduced_mask
-from recical.sounding import equivalent_channel, sound
+from recical.sounding import draw_unit_noise, sound
 
 
 def identity_frontend(n):
@@ -43,6 +44,15 @@ class TestSound:
         psi = equivalent_channel(h, fe)
         off = data.mask
         assert data.matrix[off] == pytest.approx((psi * c[None, :])[off])
+
+    def test_shared_unit_noise_gives_the_drawn_sounding(self, coupling):
+        # a draw passed in is the draw sound() would make from the same stream
+        geom = build_geometry(2, 4)
+        h = draw_channel(geom, coupling, np.random.default_rng(6))
+        fe = random_frontend(8, 1, 0.3, np.random.default_rng(7))
+        drawn = sound(h, fe, 1e-3, np.random.default_rng(8))
+        shared = sound(h, fe, 1e-3, None, unit_noise=draw_unit_noise(np.random.default_rng(8), 8))
+        assert drawn.matrix.tobytes() == shared.matrix.tobytes()
 
     def test_noise_variance_oracle(self, coupling):
         geom = build_geometry(5, 10)
