@@ -9,7 +9,7 @@ downlink precoding, and models the coefficients across OFDM subcarriers.
 
 __version__ = "0.1.0"
 
-from .crlb import CrlbInputs, CrlbReport, crlb_coefficients, fisher_information, pair_statistics
+from .crlb import CrlbInputs, CrlbReport, crlb_coefficients, fisher_information
 from .downlink import (
     DownlinkScenario,
     calibrated_downlink,
@@ -37,7 +37,6 @@ from .geometry import (
     draw_channel,
     draw_coupling,
     full_mask,
-    pair_distance_polarization,
     reduced_mask,
 )
 from .sounding import SoundingData, sound
@@ -87,8 +86,6 @@ __all__ = [
     "ks_gaussianity",
     "linear_array_ml",
     "mrt_precoder",
-    "pair_distance_polarization",
-    "pair_statistics",
     "pca",
     "per_subcarrier_estimate",
     "random_frontend",

@@ -177,7 +177,6 @@ class CapacitySection:
 
 @dataclass
 class WidebandSection:
-    n_fft: int = 2048
     n_subcarriers: int = 1200
     realizations: int = 20
     n0_db: float = -80.0
@@ -187,8 +186,6 @@ class WidebandSection:
     ks_alpha: float = 0.05
 
     def validate(self, array: ArraySection) -> None:
-        if self.n_subcarriers > self.n_fft:
-            raise ConfigError("n_subcarriers cannot exceed n_fft")
         if self.n_subcarriers < KS_MIN_SAMPLES:
             # each antenna's residual over the subcarriers feeds one KS test
             raise ConfigError(f"need at least {KS_MIN_SAMPLES} subcarriers for the KS tests, got {self.n_subcarriers}")

@@ -66,7 +66,7 @@ class CrlbInputs:
                 "the bound requires unit transmit/receive gains at the reference "
                 "antenna; normalize the front-end first"
             )
-        if self.sigma2 < 0 or self.noise_var < 0:
+        if not (self.sigma2 >= 0 and self.noise_var >= 0):
             raise ValueError("variances must be >= 0")
 
 
@@ -81,17 +81,6 @@ class CrlbReport:
     bound: np.ndarray
     ref: int
     fim_condition: float
-
-
-def pair_statistics(inputs: CrlbInputs, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance matrix of the pair observation [y_nm, y_mn]."""
-    if n == m:
-        raise ValueError("pair statistics need two distinct antennas")
-    t, r = inputs.frontend.tx, inputs.frontend.rx
-    v = np.array([r[n] * t[m], r[m] * t[n]])
-    mu = inputs.coupling_mean[n, m] * v
-    cov = inputs.sigma2 * np.outer(v, v.conj()) + inputs.noise_var * np.eye(2)
-    return mu, cov
 
 
 def pair_derivatives(

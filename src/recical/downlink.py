@@ -45,7 +45,7 @@ class DownlinkScenario:
     noise_var: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.noise_var <= 0:
+        if not self.noise_var > 0:
             raise ValueError(f"downlink noise variance must be > 0, got {self.noise_var}")
         if self.n_users > self.h_up.shape[0]:
             raise ValueError("more users than base-station antennas")

@@ -60,7 +60,7 @@ class EmSettings:
     ref: int | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if not self.delta_ml > 0:
             raise ValueError(f"delta_ml must be > 0, got {self.delta_ml}")
@@ -224,26 +224,6 @@ def em_calibrate(
         iterations=iterations,
         epsilon=settings.epsilon,
         converged=delta < settings.delta_ml,
-    )
-
-
-def em_fixed_point_residuals(data: SoundingData, estimate: CalibrationEstimate) -> tuple[float, float]:
-    """Re-substitution residuals of both EM update equations at an estimate.
-
-    Returns ``(||psi' - psi''||, ||c' - c_hat||)`` where psi' is the channel
-    update evaluated at ``c_hat``, c' the coefficient update evaluated at
-    psi', and psi'' the channel update evaluated at c'.  Both vanish at a
-    joint stationary point.
-    """
-    y, off_mask = data.measured, ~data.pairs
-    eps = estimate.epsilon
-    psi = _em_psi_step(y, y.T, off_mask, estimate.c_hat, eps)
-    num, den = _em_c_step(y, psi, eps)
-    c_next = num / den
-    psi_next = _em_psi_step(y, y.T, off_mask, c_next, eps)
-    return (
-        float(np.linalg.norm(psi_next - psi)),
-        float(np.linalg.norm(c_next - estimate.c_hat)),
     )
 
 

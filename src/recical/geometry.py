@@ -67,7 +67,7 @@ class CouplingModel:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:
             raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
 
 
@@ -75,7 +75,7 @@ def build_geometry(rows: int, cols: int, spacing: float = 0.5) -> ArrayGeometry:
     """Build a rows x cols planar array with the given spacing in wavelengths."""
     if rows < 1 or cols < 1:
         raise ValueError(f"array dimensions must be positive, got {rows}x{cols}")
-    if spacing <= 0:
+    if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
     r, c = np.divmod(np.arange(rows * cols), cols)
     positions = spacing * np.column_stack([c, r]).astype(float)
@@ -83,21 +83,9 @@ def build_geometry(rows: int, cols: int, spacing: float = 0.5) -> ArrayGeometry:
     return ArrayGeometry(rows, cols, spacing, positions, polarization)
 
 
-def pair_distance_polarization(geom: ArrayGeometry, m: int, n: int) -> tuple[float, str]:
-    """Distance in wavelengths and polarization pairing ('co' or 'cross')."""
-    M = geom.n_antennas
-    if not (0 <= m < M and 0 <= n < M):
-        raise IndexError(f"antenna index out of range for M={M}: ({m}, {n})")
-    if m == n:
-        raise ValueError(f"pair requires two distinct antennas, got m = n = {m}")
-    dist = float(np.linalg.norm(geom.positions[m] - geom.positions[n]))
-    pol = CO if geom.polarization[m] == geom.polarization[n] else CROSS
-    return dist, pol
-
-
 def coupling_gain_db(model: CouplingModel, distance: float | np.ndarray, pol: str) -> float | np.ndarray:
     """Coupling gain in dB at the given distance (scalar or array) for one polarization branch."""
-    if np.any(np.asarray(distance) <= 0):
+    if not np.all(np.asarray(distance) > 0):
         raise ValueError(f"distance must be positive, got {distance}")
     if pol == CO:
         return model.co_intercept + model.co_slope * distance

@@ -66,8 +66,11 @@ class SoundingData:
         """Unit eigenvector of the smallest eigenvalue of ``moments``.
 
         The unit-norm GMM and EM's default start both read it, so a sounding
-        runs one eigensolve.  Only that eigenpair is computed (LAPACK's MRRR
-        solver after the cubic tridiagonal reduction), not the whole spectrum.
+        runs one eigensolve.  Only that eigenpair is computed, not the whole
+        spectrum: after the cubic tridiagonal reduction, LAPACK's ``zheevr``
+        finds one eigenvalue by bisection and its eigenvector by inverse
+        iteration (``dstebz``, then ``zstein``); its MRRR branch runs only
+        for the whole spectrum.
         """
         return scipy.linalg.eigh(self.moments, subset_by_index=[0, 0])[1][:, 0]
 
@@ -99,7 +102,7 @@ def sound(
     given, :func:`draw_unit_noise` draws it from ``rng``.  Soundings of one
     channel at several noise levels may share one draw.
     """
-    if noise_var < 0:
+    if not noise_var >= 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_var}")
     M = channel.shape[0]
     if mask is None:
@@ -110,6 +113,8 @@ def sound(
         raise ValueError("mask must not include diagonal (self) pairs")
     if unit_noise is None:
         unit_noise = draw_unit_noise(rng, M)
+    elif unit_noise.shape != channel.shape:
+        raise ValueError(f"unit_noise shape {unit_noise.shape} does not match the channel's {channel.shape}")
     noise = np.sqrt(noise_var / 2.0) * unit_noise
     clean = frontend.rx[:, None] * channel * frontend.tx[None, :]
     y = np.where(mask, clean + noise, np.nan + 1j * np.nan)

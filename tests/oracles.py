@@ -11,8 +11,8 @@ from recical.crlb import (
     coefficient_jacobian,
     fisher_information,
     pair_derivatives,
-    pair_statistics,
 )
+from recical.estimators import CalibrationEstimate, _em_c_step, _em_psi_step
 from recical.frontend import FrontEnd
 from recical.sounding import SoundingData
 
@@ -34,6 +34,17 @@ def perturbed_frontend(fe: FrontEnd, antenna: int, component: int, step: float) 
     return FrontEnd(tx, rx, fe.ref)
 
 
+def pair_statistics(inputs: CrlbInputs, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean vector and covariance matrix of the pair observation [y_nm, y_mn]."""
+    if n == m:
+        raise ValueError("pair statistics need two distinct antennas")
+    t, r = inputs.frontend.tx, inputs.frontend.rx
+    v = np.array([r[n] * t[m], r[m] * t[n]])
+    mu = inputs.coupling_mean[n, m] * v
+    cov = inputs.sigma2 * np.outer(v, v.conj()) + inputs.noise_var * np.eye(2)
+    return mu, cov
+
+
 def finite_difference_worst_error(inputs: CrlbInputs, n: int, m: int, step: float = 1e-6) -> float:
     """Worst relative mismatch of the analytic pair derivatives vs central differences.
 
@@ -41,7 +52,7 @@ def finite_difference_worst_error(inputs: CrlbInputs, n: int, m: int, step: floa
     :func:`recical.crlb.pair_derivatives`, placed in the entry of v that
     :data:`recical.crlb.PAIR_CHANNELS` names, give the mean derivatives
     hbar dv and the covariance derivatives sigma2 (dv v^H + v dv^H); the
-    numeric side differentiates the scalar :func:`recical.crlb.pair_statistics`.
+    numeric side differentiates the scalar :func:`pair_statistics`.
     Components belonging to the reference antenna are skipped: they are not
     part of the estimated parameter vector (the reference gains are pinned),
     and perturbing them would break the unit-reference invariant.
@@ -225,3 +236,23 @@ def em_objective(data: SoundingData, c: np.ndarray, psi: np.ndarray, epsilon: fl
     resid = np.where(data.pairs, data.measured - psi * c[None, :], 0.0)
     pen = epsilon * (np.sum(np.abs(c) ** 2) + np.sum(np.abs(psi) ** 2))
     return float(np.sum(np.abs(resid) ** 2) + pen)
+
+
+def em_fixed_point_residuals(data: SoundingData, estimate: CalibrationEstimate) -> tuple[float, float]:
+    """Re-substitution residuals of both EM update equations at an estimate.
+
+    Returns ``(||psi' - psi''||, ||c' - c_hat||)`` where psi' is the channel
+    update evaluated at ``c_hat``, c' the coefficient update evaluated at
+    psi', and psi'' the channel update evaluated at c'.  Both vanish at a
+    joint stationary point.
+    """
+    y, off_mask = data.measured, ~data.pairs
+    eps = estimate.epsilon
+    psi = _em_psi_step(y, y.T, off_mask, estimate.c_hat, eps)
+    num, den = _em_c_step(y, psi, eps)
+    c_next = num / den
+    psi_next = _em_psi_step(y, y.T, off_mask, c_next, eps)
+    return (
+        float(np.linalg.norm(psi_next - psi)),
+        float(np.linalg.norm(c_next - estimate.c_hat)),
+    )

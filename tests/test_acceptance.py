@@ -14,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import finite_difference_worst_error, random_crlb_instance
+from oracles import em_fixed_point_residuals, finite_difference_worst_error, random_crlb_instance
 
 from recical.config import config_from_dict
 from recical.crlb import CrlbInputs, crlb_coefficients
 from recical.estimators import (
     EmSettings,
     em_calibrate,
-    em_fixed_point_residuals,
     gmm_estimate,
     linear_array_ml,
     score_mse,
@@ -364,7 +363,7 @@ TINY_RUNS = {
     "capacity": {"trials": 2},
     "wideband": {
         "array": {"rows": 2, "cols": 4, "ref": 4},
-        "wideband": {"n_subcarriers": 64, "n_fft": 128, "realizations": 2},
+        "wideband": {"n_subcarriers": 64, "realizations": 2},
     },
     "crlb-map": {"array": {"rows": 2, "cols": 5, "ref": 3}, "crlb_map": {"n0_grid_db": [-60.0]}},
     "reduced-set": {"array": {"rows": 2, "cols": 5, "ref": 3}},

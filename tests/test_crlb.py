@@ -15,6 +15,7 @@ from oracles import (
     measured_pairs,
     pair_global_slots,
     pair_information_blocks_einsum,
+    pair_statistics,
     random_crlb_instance,
     scatter_add_at,
 )
@@ -26,7 +27,6 @@ from recical.crlb import (
     crlb_coefficients,
     fisher_information,
     pair_information_blocks,
-    pair_statistics,
 )
 from recical.errors import IdentifiabilityError
 from recical.estimators import REF_ONE, UNIT_NORM, EmSettings, em_calibrate, gmm_estimate, score_mse

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import em_objective, ref_one_gmm_scipy_solve, unit_norm_gmm_full_eigh
+from oracles import em_fixed_point_residuals, em_objective, ref_one_gmm_scipy_solve, unit_norm_gmm_full_eigh
 
 import recical.sounding
 from recical import experiments
@@ -16,7 +16,6 @@ from recical.errors import DegeneracyError, IdentifiabilityError, SingularSystem
 from recical.estimators import (
     EmSettings,
     em_calibrate,
-    em_fixed_point_residuals,
     em_iterates,
     gmm_estimate,
     linear_array_ml,

@@ -408,7 +408,7 @@ class TestRunners:
                 "trials": 1,
                 "out_dir": str(tmp_path),
                 "array": {"rows": 2, "cols": 4, "ref": 4},
-                "wideband": {"n_subcarriers": 64, "n_fft": 128, "realizations": 3},
+                "wideband": {"n_subcarriers": 64, "realizations": 3},
             }
         )
         manifest = run_experiment(cfg)
@@ -610,6 +610,18 @@ class TestCli:
         payload = json.loads(result.stderr)
         assert payload["type"] == "ConfigError"
         assert "phase_slope_max" in payload["error"]
+        assert not out.exists()
+
+    def test_removed_n_fft_key_gives_one_line_error_json(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"array": TINY_ARRAY, "wideband": {"n_subcarriers": 64, "n_fft": 128}}))
+        out = tmp_path / "out"
+        result = self.run_cli("wideband", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 1
+        assert len(result.stderr.splitlines()) == 1
+        payload = json.loads(result.stderr)
+        assert payload["type"] == "ConfigError"
+        assert "'n_fft'" in payload["error"]
         assert not out.exists()
 
     def test_integer_and_float_json_write_same_bytes(self, tmp_path):

@@ -5,13 +5,13 @@ import pytest
 
 from recical.geometry import (
     CouplingModel,
+    _pair_geometry,
     build_geometry,
     coupling_gain_db,
     coupling_magnitudes,
     draw_channel,
     draw_coupling,
     full_mask,
-    pair_distance_polarization,
     reduced_mask,
 )
 
@@ -31,16 +31,14 @@ class TestBuildGeometry:
         assert seen == set(range(100))
 
     def test_adjacent_pair(self):
-        geom = build_geometry(1, 2, 0.5)
-        dist, pol = pair_distance_polarization(geom, 0, 1)
-        assert dist == pytest.approx(0.5)
-        assert pol == "cross"
+        dist, co = _pair_geometry(build_geometry(1, 2, 0.5))
+        assert dist[0, 1] == pytest.approx(0.5)
+        assert not co[0, 1]
 
     def test_diagonal_pair_same_polarization(self):
-        geom = build_geometry(2, 2, 0.5)
-        dist, pol = pair_distance_polarization(geom, 0, 3)
-        assert dist == pytest.approx(0.5 * np.sqrt(2))
-        assert pol == "co"
+        dist, co = _pair_geometry(build_geometry(2, 2, 0.5))
+        assert dist[0, 3] == pytest.approx(0.5 * np.sqrt(2))
+        assert co[0, 3]
 
     def test_positions_distinct(self):
         geom = build_geometry(3, 7)
@@ -59,24 +57,15 @@ class TestBuildGeometry:
 
 class TestPairDistancePolarization:
     def setup_method(self):
-        self.geom = build_geometry(4, 25, 0.5)
+        self.dist, self.co = _pair_geometry(build_geometry(4, 25, 0.5))
 
     def test_neighbors_along_row(self):
-        assert pair_distance_polarization(self.geom, 0, 1) == (pytest.approx(0.5), "cross")
-        assert pair_distance_polarization(self.geom, 0, 2) == (pytest.approx(1.0), "co")
+        assert (self.dist[0, 1], self.co[0, 1]) == (pytest.approx(0.5), False)
+        assert (self.dist[0, 2], self.co[0, 2]) == (pytest.approx(1.0), True)
 
     def test_diagonal_neighbor(self):
-        dist, pol = pair_distance_polarization(self.geom, 0, 26)
-        assert dist == pytest.approx(np.hypot(0.5, 0.5))
-        assert pol == "co"
-
-    def test_same_antenna_rejected(self):
-        with pytest.raises(ValueError):
-            pair_distance_polarization(self.geom, 3, 3)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(IndexError):
-            pair_distance_polarization(self.geom, 0, 100)
+        assert self.dist[0, 26] == pytest.approx(np.hypot(0.5, 0.5))
+        assert self.co[0, 26]
 
 
 class TestCouplingGain:
@@ -113,7 +102,8 @@ class TestCouplingGain:
         for m in range(M):
             for n in range(M):
                 if m != n:
-                    dist, pol = pair_distance_polarization(geom, m, n)
+                    dist = float(np.linalg.norm(geom.positions[m] - geom.positions[n]))
+                    pol = "co" if geom.polarization[m] == geom.polarization[n] else "cross"
                     gain_db[m, n] = coupling_gain_db(model, dist, pol)
                     pols.add(pol)
         assert pols == {"co", "cross"}

@@ -54,6 +54,13 @@ class TestSound:
         shared = sound(h, fe, 1e-3, None, unit_noise=draw_unit_noise(np.random.default_rng(8), 8))
         assert drawn.matrix.tobytes() == shared.matrix.tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 8), (8,), (8, 1), (7, 7)], ids=lambda s: "x".join(map(str, s)))
+    def test_unit_noise_of_another_shape_rejected(self, coupling, shape):
+        # broadcasting a row or a column would give every pair the same noise
+        h = draw_channel(build_geometry(2, 4), coupling, np.random.default_rng(6))
+        with pytest.raises(ValueError, match="unit_noise shape"):
+            sound(h, identity_frontend(8), 1e-3, None, unit_noise=np.ones(shape, complex))
+
     def test_noise_variance_oracle(self, coupling):
         geom = build_geometry(5, 10)
         rng = np.random.default_rng(5)

@@ -5,6 +5,7 @@ import pytest
 
 from recical.config import ConfigError, config_from_dict
 from recical.crlb import CrlbInputs, crlb_coefficients
+from recical.errors import AliasingError
 from recical.frontend import FrontEnd
 from recical.geometry import build_geometry, coupling_magnitudes, full_mask
 from recical.wideband import (
@@ -52,8 +53,9 @@ class TestSynthWideband:
             synth_wideband(2, 1200, WidebandParams(), 0, rng)
 
     def test_grid_validation(self):
-        with pytest.raises(ConfigError, match="n_subcarriers cannot exceed n_fft"):
-            config_from_dict({"experiment": "wideband", "wideband": {"n_subcarriers": 65, "n_fft": 64}})
+        # the subcarrier count is the whole grid; an FFT size is no config key
+        with pytest.raises(ConfigError, match=r"unknown keys in section 'wideband': \['n_fft'\]"):
+            config_from_dict({"experiment": "wideband", "wideband": {"n_subcarriers": 64, "n_fft": 128}})
 
 
 class TestPerSubcarrierEstimate:
@@ -187,6 +189,13 @@ class TestWidebandFit:
         fit = wideband_fit(row)
         assert fit.phase_slope == pytest.approx(-0.3, abs=1e-9)
         assert fit.fitted == pytest.approx(row, rel=1e-8)
+
+    def test_refined_slope_at_the_branch_edge_raises(self):
+        # the regression slope lies inside (-1/2, 1/2); on this short noisy
+        # row the Gauss-Newton step carries it to -0.538
+        row = np.array([-0.096 + 1.538j, -0.301 - 2.123j, -0.958 + 1.082j, 1.644 - 0.019j, -0.174 - 0.132j])
+        with pytest.raises(AliasingError, match="refined phase slope -0.538"):
+            wideband_fit(row)
 
     def test_averaging_gain_across_the_band(self, rng):
         # noise at -30 dB of signal power; the mean per-trial improvement of
