@@ -37,7 +37,6 @@ class CalibrationEstimate:
 
     c_hat: np.ndarray
     iterations: int = 0
-    epsilon: float = 0.0
     converged: bool = True
 
 
@@ -45,21 +44,24 @@ class CalibrationEstimate:
 class EmSettings:
     """Knobs of the EM iteration.
 
-    ``init`` is "gmm" (default; the unit-norm GMM estimate seeds the
-    iteration -- unlike the reference-pinned variant it stays bounded at any
-    noise level, which roughly halves the iteration count), "random"
-    (unit-magnitude entries with i.i.d. uniform phases, requires an rng), or
-    an explicit start vector -- pass the true coefficients for oracle runs.
-    ``max_iter`` defaults to 50 * M as a safety bound.
+    ``init`` is the start vector.  None (the default) starts from the
+    sounding's unit-norm GMM estimate anchored at ``ref``: unlike the
+    reference-pinned variant it stays bounded at any noise level, which
+    roughly halves the iteration count.  An array of M entries starts there
+    instead (the true coefficients for oracle runs, unit-magnitude random
+    phases for a cold start).  ``max_iter`` defaults to 50 * M as a safety
+    bound.
     """
 
     epsilon: float = 0.0
     delta_ml: float = 1e-6
     max_iter: int | None = None
-    init: str | np.ndarray = "gmm"
+    init: np.ndarray | None = None
     ref: int | None = None
 
     def __post_init__(self) -> None:
+        if self.init is not None and not isinstance(self.init, np.ndarray):
+            raise TypeError(f"init must be None or a start vector, got {self.init!r}")
         if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if not self.delta_ml > 0:
@@ -147,18 +149,15 @@ def _em_c_step(y, psi, epsilon) -> tuple[np.ndarray, np.ndarray]:
     return num, den
 
 
-def em_iterates(
-    data: SoundingData,
-    settings: EmSettings | None = None,
-    rng: np.random.Generator | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+def em_iterates(data: SoundingData, settings: EmSettings | None = None) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
     """EM's iterates ``(c, psi, delta)``, one after each step.
 
     A step updates the equivalent channel ``psi`` from ``c``, then ``c`` from
-    ``psi``, entry by entry in closed form, in O(measured pairs); ``delta`` is
-    the squared step ||c_new - c_old||^2.  The iterates end after the first
-    step whose delta is below ``settings.delta_ml``, or after
-    ``settings.max_iter`` steps.
+    ``psi``, entry by entry in closed form.  It works on dense M x M arrays,
+    with ``psi`` held at zero on the unmeasured pairs, so a step costs O(M^2)
+    whatever the mask.  ``delta`` is the squared step ||c_new - c_old||^2.
+    The iterates end after the first step whose delta is below
+    ``settings.delta_ml``, or after ``settings.max_iter`` steps.
     """
     settings = settings or EmSettings()
     y = data.measured
@@ -167,18 +166,12 @@ def em_iterates(
     if settings.ref is not None and not 0 <= settings.ref < M:
         raise ValueError(f"EM needs a reference index in 0..{M - 1}, got {settings.ref}")
 
-    if isinstance(settings.init, np.ndarray):
-        c = settings.init.astype(complex).copy()
+    if settings.init is None:
+        c = gmm_estimate(data, UNIT_NORM, ref=settings.ref).c_hat
+    else:
+        c = settings.init.astype(complex)
         if c.shape != (M,):
             raise ValueError(f"explicit init must have shape ({M},), got {c.shape}")
-    elif settings.init == "gmm":
-        c = gmm_estimate(data, UNIT_NORM, ref=settings.ref).c_hat
-    elif settings.init == "random":
-        if rng is None:
-            raise ValueError("random init requires an rng")
-        c = np.exp(2j * np.pi * rng.uniform(size=M))
-    else:
-        raise ValueError(f"unknown init {settings.init!r}")
 
     eps = settings.epsilon
     init_norm = float(np.linalg.norm(c))
@@ -206,25 +199,16 @@ def em_iterates(
             return
 
 
-def em_calibrate(
-    data: SoundingData,
-    settings: EmSettings | None = None,
-    rng: np.random.Generator | None = None,
-) -> CalibrationEstimate:
+def em_calibrate(data: SoundingData, settings: EmSettings | None = None) -> CalibrationEstimate:
     """Joint penalized-ML estimate: the last of :func:`em_iterates`.
 
     A run that ends at ``settings.max_iter`` steps without meeting
     ``settings.delta_ml`` is flagged through ``converged=False``.
     """
     settings = settings or EmSettings()
-    for iterations, (c, _, delta) in enumerate(em_iterates(data, settings, rng), 1):
+    for iterations, (c, _, delta) in enumerate(em_iterates(data, settings), 1):
         pass
-    return CalibrationEstimate(
-        c,
-        iterations=iterations,
-        epsilon=settings.epsilon,
-        converged=delta < settings.delta_ml,
-    )
+    return CalibrationEstimate(c, iterations, delta < settings.delta_ml)
 
 
 def _chain_mask(n_antennas: int) -> np.ndarray:

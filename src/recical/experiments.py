@@ -220,12 +220,17 @@ def _trials(worker, ctx, trials: int):
     every trial before the block starts, so what the parent computes there
     overlaps the workers; if it raises, the trials not yet started are
     dropped.  Chunks of about trials / (32 workers) keep the tail where one
-    worker runs alone short.
+    worker runs alone short.  Run in this process, the context is unbound
+    when the block exits, so the run's truths are not kept alive after it.
     """
+    global _CTX
     workers = min(ctx.config.workers, trials)
     if workers <= 1:
         _init_worker(ctx)
-        yield map(worker, range(trials))
+        try:
+            yield map(worker, range(trials))
+        finally:
+            _CTX = None
         return
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,))
     try:

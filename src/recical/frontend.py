@@ -23,6 +23,8 @@ class FrontEnd:
     def __post_init__(self) -> None:
         if self.tx.shape != self.rx.shape or self.tx.ndim != 1:
             raise ValueError("tx and rx must be 1-D vectors of equal length")
+        if not (np.isfinite(self.tx).all() and np.isfinite(self.rx).all()):
+            raise ValueError("transmit and receive gains must be finite")
         if not (0 <= self.ref < self.tx.size):
             raise IndexError(f"reference index {self.ref} out of range for M={self.tx.size}")
         if np.any(self.rx == 0):

@@ -24,6 +24,9 @@ from .sounding import sound
 # fewest samples the asymptotic KS critical value is used for
 KS_MIN_SAMPLES = 50
 
+# leading eigenvectors kept per antenna by the PCA
+PCA_COMPONENTS = 10
+
 
 @dataclass(frozen=True)
 class WidebandParams:
@@ -126,14 +129,15 @@ class PcaResult:
     """
 
     eigenvalues: np.ndarray  # descending, length min(R, N)
-    components: np.ndarray   # (N, n_components), unit columns
+    components: np.ndarray   # (N, PCA_COMPONENTS at most), unit columns
 
 
-def pca(estimates: np.ndarray, n_components: int = 10) -> list[PcaResult]:
+def pca(estimates: np.ndarray) -> list[PcaResult]:
     """Per-antenna PCA of stacked per-subcarrier estimates, shape (R, M, N).
 
-    The sample covariance K_m = (1/R) sum_r c_r c_r^H is never formed; its
-    eigenpairs come from an SVD of the R x N data matrix.
+    It keeps every eigenvalue and the leading ``PCA_COMPONENTS``
+    eigenvectors.  The sample covariance K_m = (1/R) sum_r c_r c_r^H is
+    never formed; its eigenpairs come from an SVD of the R x N data matrix.
     """
     if estimates.ndim != 3:
         raise ValueError("estimates must be stacked as (realizations, antennas, subcarriers)")
@@ -144,8 +148,7 @@ def pca(estimates: np.ndarray, n_components: int = 10) -> list[PcaResult]:
     for m in range(estimates.shape[1]):
         x = estimates[:, m, :]
         _, svals, vh = np.linalg.svd(x, full_matrices=False)
-        keep = min(n_components, vh.shape[0])
-        results.append(PcaResult(svals**2 / R, vh[:keep].conj().T))
+        results.append(PcaResult(svals**2 / R, vh[:PCA_COMPONENTS].conj().T))
     return results
 
 
@@ -219,19 +222,16 @@ def wideband_fit(row: np.ndarray) -> WidebandFit:
 
 @dataclass
 class WidebandRecord:
-    """Per-subcarrier estimates with their kernel fits and residuals."""
+    """Kernel fits of per-subcarrier estimates and their residuals."""
 
-    estimates: np.ndarray    # (M, N)
     fits: list[WidebandFit]
-    fitted: np.ndarray       # (M, N)
     residuals: np.ndarray    # (M, N) estimates - fitted
 
 
 def wideband_record(estimates: np.ndarray) -> WidebandRecord:
     """Fit every antenna row and collect the wideband residuals."""
     fits = [wideband_fit(row) for row in estimates]
-    fitted = np.stack([f.fitted for f in fits])
-    return WidebandRecord(estimates, fits, fitted, estimates - fitted)
+    return WidebandRecord(fits, estimates - np.stack([f.fitted for f in fits]))
 
 
 @dataclass

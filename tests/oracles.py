@@ -238,20 +238,19 @@ def em_objective(data: SoundingData, c: np.ndarray, psi: np.ndarray, epsilon: fl
     return float(np.sum(np.abs(resid) ** 2) + pen)
 
 
-def em_fixed_point_residuals(data: SoundingData, estimate: CalibrationEstimate) -> tuple[float, float]:
+def em_fixed_point_residuals(data: SoundingData, estimate: CalibrationEstimate, epsilon: float) -> tuple[float, float]:
     """Re-substitution residuals of both EM update equations at an estimate.
 
     Returns ``(||psi' - psi''||, ||c' - c_hat||)`` where psi' is the channel
     update evaluated at ``c_hat``, c' the coefficient update evaluated at
     psi', and psi'' the channel update evaluated at c'.  Both vanish at a
-    joint stationary point.
+    joint stationary point of the objective penalized by ``epsilon``.
     """
     y, off_mask = data.measured, ~data.pairs
-    eps = estimate.epsilon
-    psi = _em_psi_step(y, y.T, off_mask, estimate.c_hat, eps)
-    num, den = _em_c_step(y, psi, eps)
+    psi = _em_psi_step(y, y.T, off_mask, estimate.c_hat, epsilon)
+    num, den = _em_c_step(y, psi, epsilon)
     c_next = num / den
-    psi_next = _em_psi_step(y, y.T, off_mask, c_next, eps)
+    psi_next = _em_psi_step(y, y.T, off_mask, c_next, epsilon)
     return (
         float(np.linalg.norm(psi_next - psi)),
         float(np.linalg.norm(c_next - estimate.c_hat)),

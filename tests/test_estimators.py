@@ -21,8 +21,8 @@ from recical.estimators import (
     linear_array_ml,
     score_mse,
 )
-from recical.frontend import FrontEnd, random_frontend, true_coefficients
-from recical.geometry import build_geometry, check_connected, draw_channel, full_mask, reduced_mask
+from recical.frontend import random_frontend, true_coefficients
+from recical.geometry import build_geometry, check_connected, draw_channel, reduced_mask
 from recical.sounding import SoundingData, sound
 
 
@@ -155,10 +155,10 @@ class TestGmm:
             with pytest.raises(ValueError, match="reference index"):
                 gmm_estimate(data, constraint=constraint, ref=ref)
         # em_calibrate checks settings.ref whatever its initialisation
-        for init in ("gmm", np.ones(3, complex), "random"):
+        for init in (None, np.ones(3, complex)):
             for ref in (-1, 3):
                 with pytest.raises(ValueError, match="reference index"):
-                    em_calibrate(data, EmSettings(init=init, ref=ref), rng=np.random.default_rng(0))
+                    em_calibrate(data, EmSettings(init=init, ref=ref))
 
     def test_ref_one_zero_antenna_is_singular(self, coupling):
         # every measured pair of antenna 4 reads exactly 0: the mask stays
@@ -213,14 +213,14 @@ class TestEm:
         # den * (c' - c) is the objective's gradient in conj(c), and den << 1
         # here, so this bound on ||c' - c|| also bounds the gradient
         y_norm = np.linalg.norm(data.measured)
-        psi_res, c_res = em_fixed_point_residuals(data, est)
+        psi_res, c_res = em_fixed_point_residuals(data, est, 0.0)
         assert psi_res < 1e-6 * y_norm
         assert c_res < 1e-6 * y_norm
 
     def test_fixed_point_residuals_vanish(self, coupling):
         data, _ = make_data(2, 4, coupling, 1e-5, seed=12, ref=0)
         est = em_calibrate(data, EmSettings(ref=0, delta_ml=1e-24))
-        psi_res, c_res = em_fixed_point_residuals(data, est)
+        psi_res, c_res = em_fixed_point_residuals(data, est, 0.0)
         y_norm = np.linalg.norm(np.where(data.pairs, data.matrix, 0))
         assert psi_res < 1e-6 * y_norm
         assert c_res < 1e-6 * y_norm
@@ -232,7 +232,7 @@ class TestEm:
         est = em_calibrate(data, EmSettings(ref=ref, delta_ml=1e-22))
         if est.converged:
             y_norm = np.linalg.norm(data.measured)
-            psi_res, c_res = em_fixed_point_residuals(data, est)
+            psi_res, c_res = em_fixed_point_residuals(data, est, 0.0)
             assert psi_res < 1e-6 * y_norm
             assert c_res < 1e-6 * y_norm
 
@@ -294,16 +294,12 @@ class TestEm:
         deltas = [delta for _, _, delta in em_iterates(data, fixed)]
         assert len(deltas) == max_iter or deltas[-1] == 0.0
 
-    def test_random_init_requires_rng(self, coupling):
-        data, _ = make_data(1, 3, coupling, 1e-6, seed=18)
-        with pytest.raises(ValueError):
-            em_calibrate(data, EmSettings(init="random"))
-
     def test_random_init_converges(self, coupling):
         # unpenalized run: the global-scale direction is exactly invariant,
         # so the iteration settles instead of drifting along it
         data, c = make_data(2, 3, coupling, 1e-8, seed=19, ref=0)
-        est = em_calibrate(data, EmSettings(init="random", epsilon=0.0), rng=np.random.default_rng(4))
+        init = np.exp(2j * np.pi * np.random.default_rng(4).uniform(size=6))
+        est = em_calibrate(data, EmSettings(init=init, epsilon=0.0))
         assert est.converged
         assert normalize(est.c_hat) == pytest.approx(c, abs=0.05)
 
@@ -314,6 +310,16 @@ class TestEm:
             EmSettings(delta_ml=0.0)
         with pytest.raises(ValueError):
             EmSettings(max_iter=0)
+        # a leftover init mode fails where the settings are built
+        for init in ("random", "gmm", [1.0, 1.0, 1.0]):
+            with pytest.raises(TypeError, match="init must be None or a start vector"):
+                EmSettings(init=init)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_init_of_another_shape_rejected(self, coupling, shape):
+        data, _ = make_data(1, 3, coupling, 1e-6, seed=18)
+        with pytest.raises(ValueError, match=r"explicit init must have shape \(3,\)"):
+            em_calibrate(data, EmSettings(init=np.ones(shape, complex)))
 
     def test_unpenalized_runs_converge_reliably_at_moderate_snr(self, coupling):
         # robustness sweep: epsilon = 0 with the default init must converge

@@ -363,6 +363,24 @@ class TestRunners:
         assert experiments._CTX == "context"
         assert calls == [(experiments._M_MMAP_THRESHOLD, 64 << 20), (experiments._M_TRIM_THRESHOLD, 256 << 20)]
 
+    def test_one_worker_run_unbinds_its_context(self, tmp_path):
+        # a wideband context holds every realization's truth
+        run_experiment(config_from_dict({"experiment": "wideband", "seed": 5, "out_dir": str(tmp_path), **TINY_WIDEBAND}))
+        assert experiments._CTX is None
+
+    def test_failed_one_worker_run_unbinds_its_context(self):
+        ctx = types.SimpleNamespace(config=types.SimpleNamespace(workers=1))
+        seen = []
+
+        def failing_trial(t):
+            seen.append(experiments._CTX)
+            raise RuntimeError("trial failed")
+
+        with pytest.raises(RuntimeError, match="trial failed"):
+            experiments._run_trials(failing_trial, ctx, 3)
+        assert seen == [ctx]
+        assert experiments._CTX is None
+
     def test_different_seeds_differ(self, tmp_path):
         run_experiment(tiny_mse_config(tmp_path / "s1", seed=1))
         run_experiment(tiny_mse_config(tmp_path / "s2", seed=2))

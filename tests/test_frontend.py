@@ -91,3 +91,20 @@ class TestTrueCoefficients:
     def test_zero_receive_gain_rejected(self):
         with pytest.raises(ValueError):
             FrontEnd(np.ones(3, complex), np.array([1.0, 0.0, 1.0], dtype=complex), 0)
+
+
+class TestFrontEndChecks:
+    @pytest.mark.parametrize(
+        "tx,rx",
+        [
+            ([1.0, np.nan], [1.0, np.nan]),
+            ([1.0, np.inf], [1.0, 1.0]),
+            ([1.0, 1.0], [1.0, -np.inf]),
+            ([1.0, complex(1.0, np.nan)], [1.0, 1.0]),
+            ([np.nan, 1.0], [1.0, 1.0]),
+        ],
+    )
+    def test_non_finite_gains_rejected(self, tx, rx):
+        # a NaN compares false with zero, so the nonzero checks alone let it through
+        with pytest.raises(ValueError, match="must be finite"):
+            FrontEnd(np.array(tx, dtype=complex), np.array(rx, dtype=complex), 0)

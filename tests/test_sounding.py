@@ -5,7 +5,7 @@ import pytest
 from oracles import equivalent_channel
 
 from recical.frontend import FrontEnd, random_frontend, true_coefficients
-from recical.geometry import build_geometry, draw_channel, full_mask, reduced_mask
+from recical.geometry import build_geometry, draw_channel, reduced_mask
 from recical.sounding import draw_unit_noise, sound
 
 
