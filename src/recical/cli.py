@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .config import EXPERIMENTS, ConfigError, default_config, load_config
+from .config import EXPERIMENTS, ConfigError, ExperimentConfig, default_config, load_config
 from .experiments import run_experiment
 
 
@@ -26,6 +26,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="DIR", help="override the output directory")
     parser.add_argument("--workers", type=int, metavar="N", help="worker processes for trial-level parallelism")
     return parser
+
+
+def _draw_count(config: ExperimentConfig) -> str:
+    """The summary's count of random draws: trials, wideband realizations, or none for the bounds."""
+    if config.experiment == "wideband":
+        return f", {config.wideband.realizations} realizations"
+    if config.experiment in ("crlb-map", "reduced-set"):
+        return ""
+    return f", {config.trials} trials"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -49,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("\n")
         return 1
     print(f"{config.experiment}: wrote {', '.join(manifest.outputs)} to {config.out_dir} "
-          f"in {manifest.wall_time_s:.1f}s (seed {config.seed}, {config.trials} trials)")
+          f"in {manifest.wall_time_s:.1f}s (seed {config.seed}{_draw_count(config)})")
     return 0
 
 

@@ -2,7 +2,11 @@
 
 Antenna numbers in configuration files and CSV outputs are 1-based
 (row-major over the grid, matching the usual array-hardware numbering);
-the library itself indexes antennas from zero.  The loader converts once.
+the library itself indexes antennas from zero.  The loader keeps the
+1-based numbers.  They are converted where they are used: the reference
+by ``ArraySection.ref_index``, mse-sweep's tracked antennas by
+``run_mse_sweep`` (``antenna - 1``), and every runner writes ``m + 1``
+into its CSV rows.
 
 All powers and variances given in dB use 10*log10(linear).
 """

@@ -34,11 +34,14 @@ PAIR_PARAMS = ("re_t_n", "im_t_n", "re_r_n", "im_r_n", "re_t_m", "im_t_m", "re_r
 PAIR_CHANNELS = np.array([1, 0, 0, 1])
 
 _REF_GAIN_TOL = 1e-12
-# pairs per Fisher-assembly chunk: each chunk's temporaries stay near 1 MB.
+# pairs per Fisher-assembly chunk: a chunk's (P, 8, 8) blocks take 512 KB.
 # Below 4096 pairs no (4, P) complex temporary reaches the 256 KB at which
 # numpy reuses it as the output of a multiply, with the operands swapped and
 # so rounded otherwise; a pair's block then does not depend on its chunk
-FIM_CHUNK_PAIRS = 2048
+FIM_CHUNK_PAIRS = 1024
+# Jacobian rows whitened per triangular solve: the right-hand sides of one
+# solve take 2 x 64 columns of the factor's height, not a second matrix
+_JACOBIAN_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -79,7 +82,6 @@ class CrlbReport:
     """
 
     bound: np.ndarray
-    ref: int
     fim_condition: float
 
 
@@ -225,21 +227,41 @@ def coefficient_jacobian(frontend: FrontEnd) -> np.ndarray:
     return jac
 
 
+def _whitened_norms(factor: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """||U^-T a^T||^2 + ||U^-T b^T||^2 for each row a + i b of ``rows``.
+
+    ``factor`` holds U in its upper triangle.  The right-hand sides, the
+    columns [Re j_m ... | Im j_m ...], are Fortran-ordered, so the solve
+    overwrites them and they are freed when this returns.
+    """
+    whitened = scipy.linalg.solve_triangular(
+        factor, np.concatenate([rows.real, rows.imag]).T, trans="T", overwrite_b=True, check_finite=False
+    )
+    squared = np.einsum("dk,dk->k", whitened, whitened)
+    return squared[: len(rows)] + squared[len(rows) :]
+
+
 def crlb_coefficients(inputs: CrlbInputs) -> CrlbReport:
     """Variance lower bound on every non-reference calibration coefficient.
 
     The bound on c_m is j_m F^-1 j_m^H, where j_m = a + i b is row m of
     :func:`coefficient_jacobian` and F the Fisher information.  F is real and
     symmetric, so the cross terms i (b F^-1 a^T - a F^-1 b^T) cancel and the
-    bound is a F^-1 a^T + b F^-1 b^T.  With the Cholesky factor F = L L^T
-    each term is a squared norm, ||L^-1 a^T||^2 + ||L^-1 b^T||^2: one real
-    triangular solve with 2M right-hand sides gives every bound.
+    bound is a F^-1 a^T + b F^-1 b^T.  With the Cholesky factor F = U^T U
+    each term is a squared norm, ||U^-T a^T||^2 + ||U^-T b^T||^2: real
+    triangular solves, 64 rows of the Jacobian at a time, give every bound.
+
+    The work happens inside the matrix :func:`fisher_information` returns.
+    U overwrites its upper triangle and diagonal; the strict lower triangle
+    stays F's, so once the diagonal is written back the eigenvalues for
+    ``fim_condition`` come from the lower triangle of F itself.
     """
-    # the FIM is Fortran-ordered: the factorisation copies it and checks it
-    # is finite, and the eigensolve then works in it in place
     fim = fisher_information(inputs)
+    diagonal = fim.diagonal().copy()
     try:
-        chol, _ = scipy.linalg.cho_factor(fim, lower=True)
+        # checks that F is finite without copying it; potrf reads and writes
+        # only the upper triangle of the Fortran-ordered matrix
+        scipy.linalg.cho_factor(fim, lower=False, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise IdentifiabilityError(
             "the Fisher information is not positive definite; without unit "
@@ -248,15 +270,11 @@ def crlb_coefficients(inputs: CrlbInputs) -> CrlbReport:
             "convention"
         ) from exc
     jac = coefficient_jacobian(inputs.frontend)
-    M = jac.shape[0]
-    # the columns [Re j_m ... | Im j_m ...], Fortran-ordered for the solve
-    whitened = scipy.linalg.solve_triangular(
-        chol, np.concatenate([jac.real, jac.imag]).T, lower=True, overwrite_b=True, check_finite=False
-    )
-    squared = np.einsum("dk,dk->k", whitened, whitened)
-    bound = squared[:M] + squared[M:]
+    starts = range(0, jac.shape[0], _JACOBIAN_BLOCK_ROWS)
+    bound = np.concatenate([_whitened_norms(fim, jac[start : start + _JACOBIAN_BLOCK_ROWS]) for start in starts])
     bound[inputs.frontend.ref] = np.nan
-    # the connected mask and the Cholesky factorisation make the FIM positive
+    # the connected mask and the Cholesky factorisation make F positive
     # definite, so its singular values are its eigenvalues
+    np.fill_diagonal(fim, diagonal)
     eigs = scipy.linalg.eigvalsh(fim, overwrite_a=True, check_finite=False)
-    return CrlbReport(bound, inputs.frontend.ref, float(eigs[-1] / eigs[0]))
+    return CrlbReport(bound, float(eigs[-1] / eigs[0]))

@@ -103,6 +103,12 @@ def per_subcarrier_estimate(
     sounding round with independent noise, and an unpenalized EM run seeded
     by the GMM estimate.  Results are normalized to the reference antenna,
     so the noiseless output is exactly values[:, k] / values[ref, k].
+
+    The channel, shared by all subcarriers, is drawn from ``rng`` with no
+    coupling matrix, so each call (each wideband realization) draws its own
+    coupling phases as well as its diffuse term.  The other experiments hold
+    the coupling phases fixed across trials, drawn from the run's shared
+    stream.
     """
     if truth.n_antennas != geom.n_antennas:
         raise ValueError("truth and geometry disagree on the antenna count")

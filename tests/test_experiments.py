@@ -561,6 +561,22 @@ class TestCli:
         assert (out / "mse_sweep.csv").exists()
         assert (out / "manifest.json").exists()
         assert "mse_sweep.csv" in result.stdout
+        assert result.stdout.rstrip().endswith("(seed 3, 2 trials)")
+
+    def test_bound_only_run_reports_no_trials(self, tmp_path):
+        # crlb-map draws only the coupling phases; config.trials plays no part
+        out = tmp_path / "out"
+        result = self.run_cli("crlb-map", "--trials", "7", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.rstrip().endswith("(seed 12345)")
+
+    def test_wideband_run_reports_realizations(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"array": TINY_ARRAY, "wideband": {"n_subcarriers": 50, "realizations": 2}}))
+        out = tmp_path / "out"
+        result = self.run_cli("wideband", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.rstrip().endswith("(seed 12345, 2 realizations)")
 
     def test_overrides_applied(self, tmp_path):
         out = tmp_path / "o"
