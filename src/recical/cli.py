@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .config import EXPERIMENTS, ConfigError, ExperimentConfig, default_config, load_config
+from .config import EXPERIMENTS, ExperimentConfig, default_config, load_config
 from .experiments import run_experiment
 
 
@@ -53,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers is not None:
             config.workers = args.workers
         manifest = run_experiment(config)
-    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:  # ConfigError is a ValueError
         json.dump({"error": str(exc), "type": type(exc).__name__}, sys.stderr)
         sys.stderr.write("\n")
         return 1

@@ -18,11 +18,12 @@ import sys
 import types
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from .downlink import VARIANTS
-from .estimators import REF_ONE, UNIT_NORM
-from .wideband import KS_MIN_SAMPLES
+from .estimators import REF_ONE, UNIT_NORM, EmSettings
+from .geometry import ArrayGeometry, build_geometry, reduced_mask
+from .wideband import ks_critical
 
 # the ids are part of the seed contract: every random stream is derived from
 # (master seed, experiment id), so renumbering one changes all its outputs
@@ -56,6 +57,14 @@ def _check_db(name: str, *values: float) -> None:
             raise ConfigError(f"{name} must be at most about 3082 dB, got {value!r}") from None
 
 
+def _owned(keys: str, check: Callable[..., Any], *args: Any) -> None:
+    """Call ``check``, the code that owns the values of ``keys``; its refusal becomes a ConfigError led by ``keys``."""
+    try:
+        check(*args)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"{keys}: {exc}") from exc
+
+
 @dataclass
 class ArraySection:
     rows: int = 4
@@ -64,10 +73,7 @@ class ArraySection:
     ref: int = 38  # 1-based antenna number
 
     def validate(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError(f"array dimensions must be positive, got {self.rows}x{self.cols}")
-        if self.spacing <= 0:
-            raise ConfigError(f"array spacing must be positive, got {self.spacing}")
+        _owned("array.rows, array.cols, array.spacing", self.geometry)
         if not (1 <= self.ref <= self.n_antennas):
             raise ConfigError(f"reference antenna {self.ref} outside 1..{self.n_antennas}")
 
@@ -78,6 +84,9 @@ class ArraySection:
     @property
     def ref_index(self) -> int:
         return self.ref - 1
+
+    def geometry(self) -> ArrayGeometry:
+        return build_geometry(self.rows, self.cols, self.spacing)
 
 
 @dataclass
@@ -110,14 +119,10 @@ class EstimatorSection:
     gmm_constraint: str = REF_ONE
 
     def validate(self) -> None:
-        if self.epsilon < 0 or any(e < 0 for e in self.epsilon_grid):
-            raise ConfigError("regularization constants must be >= 0")
         if not self.epsilon_grid:
             raise ConfigError("epsilon_grid must not be empty")
-        if not self.delta_ml > 0:
-            raise ConfigError(f"delta_ml must be > 0, got {self.delta_ml}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        for key, eps in [("epsilon", self.epsilon)] + [("epsilon_grid", e) for e in self.epsilon_grid]:
+            _owned(f"estimator.{key}, estimator.delta_ml, estimator.max_iter", EmSettings, eps, self.delta_ml, self.max_iter)
         if self.gmm_constraint not in GMM_CONSTRAINTS:
             raise ConfigError(f"gmm_constraint must be {' or '.join(GMM_CONSTRAINTS)}, got {self.gmm_constraint!r}")
 
@@ -141,8 +146,7 @@ class MseSweepSection:
                 raise ConfigError(f"tracked antenna {a} outside 1..{array.n_antennas}")
             if a == array.ref:
                 raise ConfigError(f"tracked antenna {a} is the reference, whose coefficient is pinned to one")
-        if self.reduced_radius <= 0:
-            raise ConfigError("reduced_radius must be positive")
+        _owned("mse_sweep.reduced_radius", reduced_mask, array.geometry(), self.reduced_radius)
 
 
 @dataclass
@@ -190,9 +194,8 @@ class WidebandSection:
     ks_alpha: float = 0.05
 
     def validate(self, array: ArraySection) -> None:
-        if self.n_subcarriers < KS_MIN_SAMPLES:
-            # each antenna's residual over the subcarriers feeds one KS test
-            raise ConfigError(f"need at least {KS_MIN_SAMPLES} subcarriers for the KS tests, got {self.n_subcarriers}")
+        # each antenna's residual over the subcarriers feeds one KS test
+        _owned("wideband.n_subcarriers, wideband.ks_alpha", ks_critical, self.n_subcarriers, self.ks_alpha)
         if self.realizations < 2:
             raise ConfigError("wideband experiment needs at least two realizations")
         _check_db("wideband.n0_db", self.n0_db)
@@ -204,8 +207,6 @@ class WidebandSection:
             # the fit sees slopes relative to the reference, up to twice this
             # bound, and unwrapping folds any slope onto (-1/2, 1/2) cycles
             raise ConfigError(f"phase_slope_max must be below 0.25 cycles/subcarrier, got {self.phase_slope_max}")
-        if not (0 < self.ks_alpha < 1):
-            raise ConfigError("ks_alpha must lie in (0, 1)")
 
 
 @dataclass
@@ -224,8 +225,7 @@ class ReducedSetSection:
     radius: float = 0.7071067811865476
 
     def validate(self, array: ArraySection) -> None:
-        if self.radius <= 0:
-            raise ConfigError("radius must be positive")
+        _owned("reduced_set.radius", reduced_mask, array.geometry(), self.radius)
         _check_db("reduced_set.n0_db", self.n0_db)
 
 

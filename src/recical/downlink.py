@@ -47,8 +47,6 @@ class DownlinkScenario:
     def __post_init__(self) -> None:
         if not self.noise_var > 0:
             raise ValueError(f"downlink noise variance must be > 0, got {self.noise_var}")
-        if self.n_users > self.h_up.shape[0]:
-            raise ValueError("more users than base-station antennas")
 
     @property
     def n_users(self) -> int:

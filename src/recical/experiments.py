@@ -47,7 +47,7 @@ from .crlb import CrlbInputs, CrlbReport, crlb_coefficients
 from .downlink import EM_VARIANT, GMM_VARIANT, PERFECT, PRECODERS, TRUE_CSI, UNCALIBRATED, draw_scenario, variant_sum_rates
 from .estimators import EmSettings, em_calibrate, em_iterates, gmm_estimate, score_mse
 from .frontend import FrontEnd, deterministic_frontend, random_frontend, true_coefficients
-from .geometry import ArrayGeometry, CouplingModel, build_geometry, draw_channel, draw_coupling, full_mask, reduced_mask
+from .geometry import ArrayGeometry, CouplingModel, draw_channel, draw_coupling, full_mask, reduced_mask
 from .sounding import draw_unit_noise, sound
 from .wideband import (
     WidebandParams,
@@ -125,7 +125,7 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 def build_setup(config: ExperimentConfig) -> tuple[ArrayGeometry, CouplingModel, FrontEnd]:
     """Geometry, coupling model, and front-end described by a config."""
     arr = config.array
-    geom = build_geometry(arr.rows, arr.cols, arr.spacing)
+    geom = arr.geometry()
     cpl = config.coupling
     model = CouplingModel(
         cpl.co_slope_db,

@@ -44,8 +44,6 @@ def deterministic_frontend(n_antennas: int, ref: int) -> FrontEnd:
     and r_m = 0.9 + 0.2 ((M-m)/M) e^{+j2pi m/M}; both vectors are then divided
     by their reference entry.
     """
-    if not (0 <= ref < n_antennas):
-        raise IndexError(f"reference index {ref} out of range for M={n_antennas}")
     m = np.arange(1, n_antennas + 1)
     t = 0.9 + 0.2 * m / n_antennas * np.exp(-2j * np.pi * m / n_antennas)
     r = 0.9 + 0.2 * (n_antennas - m) / n_antennas * np.exp(2j * np.pi * m / n_antennas)
@@ -61,8 +59,6 @@ def _raw_gains(n_antennas: int, spread: float, rng: np.random.Generator) -> np.n
 
 def random_frontend(n_antennas: int, ref: int, spread: float, rng: np.random.Generator) -> FrontEnd:
     """Random transceiver gains with bounded magnitude spread around one."""
-    if not (0 <= ref < n_antennas):
-        raise IndexError(f"reference index {ref} out of range for M={n_antennas}")
     if not (0 <= spread < 1):
         raise ValueError(f"spread must lie in [0, 1), got {spread}")
     t = _raw_gains(n_antennas, spread, rng)

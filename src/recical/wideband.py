@@ -249,24 +249,29 @@ class KsTest:
     passed: bool
 
 
+def ks_critical(n: int, alpha: float) -> float:
+    """The asymptotic KS critical value c(alpha)/sqrt(n) for n samples, with c(0.05) = 1.358."""
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"KS verdict needs at least {KS_MIN_SAMPLES} samples, got {n}")
+    if not (0 < alpha < 1):
+        raise ValueError(f"significance level must be in (0, 1), got {alpha}")
+    return float(np.sqrt(-0.5 * np.log(alpha / 2.0)) / np.sqrt(n))
+
+
 def ks_gaussianity(samples: np.ndarray, alpha: float = 0.05) -> KsTest:
     """Test real samples against a zero-mean Gaussian of matching variance.
 
     The model variance is the zero-mean maximum-likelihood one (mean of the
     squared samples).  The verdict compares the exceedance statistic against
-    the asymptotic critical value c(alpha)/sqrt(n) with c(0.05) = 1.358.
+    ``ks_critical(n, alpha)``.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.size
-    if n < KS_MIN_SAMPLES:
-        raise ValueError(f"KS verdict needs at least {KS_MIN_SAMPLES} samples, got {n}")
-    if not (0 < alpha < 1):
-        raise ValueError(f"significance level must be in (0, 1), got {alpha}")
+    critical = ks_critical(n, alpha)
     scale = float(np.sqrt(np.mean(samples**2)))
     if scale == 0:
         raise ValueError("degenerate (all-zero) sample; the model variance vanishes")
     model = ndtr(np.sort(samples) / scale)
     grid = np.arange(1, n + 1) / n
     statistic = float(np.max(np.maximum(grid - model, model - (grid - 1.0 / n))))
-    critical = float(np.sqrt(-0.5 * np.log(alpha / 2.0)) / np.sqrt(n))
     return KsTest(statistic, critical, statistic <= critical)

@@ -156,7 +156,7 @@ class TestScenario:
 
     def test_too_many_users_rejected(self, rng):
         fe = random_frontend(4, 0, 0.2, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="more users than base-station antennas"):
             draw_scenario(fe, 5, rng)
 
     def test_power_defaults_to_user_count(self, rng):

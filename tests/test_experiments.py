@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from recical import experiments
 from recical.config import EXPERIMENT_IDS, ConfigError, ExperimentConfig, config_from_dict, default_config, load_config
+from recical.estimators import EmSettings
 from recical.experiments import run_experiment
-from recical.geometry import draw_channel
+from recical.geometry import build_geometry, draw_channel, reduced_mask
 from recical.sounding import sound
+from recical.wideband import ks_critical
 
 
 def tiny_mse_config(out_dir, **overrides):
@@ -164,9 +166,40 @@ class TestConfig:
     def test_wideband_needs_ks_sample_count(self):
         # each residual KS test runs over the subcarriers; fewer than 50 must
         # fail here, before any EM solve or CSV
-        with pytest.raises(ConfigError, match="at least 50 subcarriers"):
+        with pytest.raises(ConfigError, match=r"^wideband\.n_subcarriers, .*KS verdict needs at least 50 samples, got 20$"):
             config_from_dict({"experiment": "wideband", "array": TINY_ARRAY, "wideband": {"n_subcarriers": 20}})
         config_from_dict({"experiment": "wideband", **TINY_WIDEBAND})
+
+    @pytest.mark.parametrize(
+        "key, payload, owner",
+        [
+            ("array.rows", {"array": {"rows": 0}}, lambda: build_geometry(0, 25, 0.5)),
+            ("array.cols", {"array": {"cols": -2}}, lambda: build_geometry(4, -2, 0.5)),
+            ("array.spacing", {"array": {"spacing": -0.5}}, lambda: build_geometry(4, 25, -0.5)),
+            ("estimator.epsilon", {"estimator": {"epsilon": -0.5}}, lambda: EmSettings(-0.5)),
+            ("estimator.epsilon_grid", {"estimator": {"epsilon_grid": [0.1, -0.5]}}, lambda: EmSettings(-0.5)),
+            ("estimator.delta_ml", {"estimator": {"delta_ml": -1e-3}}, lambda: EmSettings(delta_ml=-1e-3)),
+            ("estimator.max_iter", {"estimator": {"max_iter": 0}}, lambda: EmSettings(max_iter=0)),
+            ("mse_sweep.reduced_radius", {"mse_sweep": {"reduced_radius": -0.5}},
+             lambda: reduced_mask(build_geometry(4, 25), -0.5)),
+            ("reduced_set.radius", {"experiment": "reduced-set", "reduced_set": {"radius": -0.5}},
+             lambda: reduced_mask(build_geometry(4, 25), -0.5)),
+            ("wideband.n_subcarriers", {"experiment": "wideband", "wideband": {"n_subcarriers": 20}},
+             lambda: ks_critical(20, 0.05)),
+            ("wideband.ks_alpha", {"experiment": "wideband", "wideband": {"ks_alpha": 1.5}},
+             lambda: ks_critical(1200, 1.5)),
+        ],
+    )
+    def test_owner_check_refuses_value(self, key, payload, owner):
+        # the config keeps no copy of these checks: the refusal is the owning
+        # code's, led by the keys whose values its call received
+        with pytest.raises(ConfigError) as refused:
+            config_from_dict(payload)
+        with pytest.raises(ValueError) as direct:
+            owner()
+        keys, _, message = str(refused.value).partition(": ")
+        assert key in keys.split(", ")
+        assert message == str(direct.value)
 
     def test_wideband_slopes_non_negative(self):
         # a negative bound would reach the kernel draw as an empty uniform range
@@ -593,6 +626,18 @@ class TestCli:
         payload = json.loads(result.stderr)
         assert payload["type"] == "ConfigError"
         assert "trials" in payload["error"]
+
+    def test_owner_refusal_gives_error_json(self, tmp_path):
+        # a value refused by the library's own check, before any output is made
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"array": {"spacing": -0.5}}))
+        out = tmp_path / "out"
+        result = self.run_cli("mse-sweep", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 1
+        payload = json.loads(result.stderr)
+        assert payload["type"] == "ConfigError"
+        assert payload["error"] == "array.rows, array.cols, array.spacing: spacing must be positive, got -0.5"
+        assert not out.exists()
 
     def test_wrong_json_type_gives_error_json(self, tmp_path):
         cfg = tmp_path / "cfg.json"
