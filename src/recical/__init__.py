@@ -13,7 +13,6 @@ from .crlb import CrlbInputs, CrlbReport, crlb_coefficients, fisher_information
 from .downlink import (
     DownlinkScenario,
     calibrated_downlink,
-    evm,
     mrt_precoder,
     sum_rate,
     zf_precoder,
@@ -43,7 +42,6 @@ from .sounding import SoundingData, sound
 from .wideband import (
     PcaResult,
     WidebandParams,
-    WidebandTruth,
     ks_gaussianity,
     pca,
     per_subcarrier_estimate,
@@ -69,7 +67,6 @@ __all__ = [
     "SingularSystemError",
     "SoundingData",
     "WidebandParams",
-    "WidebandTruth",
     "build_geometry",
     "calibrated_downlink",
     "coupling_gain_db",
@@ -79,7 +76,6 @@ __all__ = [
     "draw_coupling",
     "em_calibrate",
     "em_iterates",
-    "evm",
     "fisher_information",
     "full_mask",
     "gmm_estimate",

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontend import FrontEnd
+from .geometry import draw_complex_normal
 
 UNCALIBRATED = "uncalibrated"
 GMM_VARIANT = "gmm"
@@ -73,9 +74,11 @@ def draw_scenario(
     equivalent to precoding on the true downlink channel.
     """
     M = frontend.n_antennas
+    if n_users < 1:
+        raise ValueError(f"need at least one user, got {n_users}")
     if n_users > M:
         raise ValueError("more users than base-station antennas")
-    h_p = np.sqrt(0.5) * (rng.standard_normal((M, n_users)) + 1j * rng.standard_normal((M, n_users)))
+    h_p = np.sqrt(0.5) * draw_complex_normal(rng, (M, n_users))
     user_tx = frontend.tx[:n_users].copy()
     user_rx = user_tx.copy() if reciprocal_users else frontend.rx[:n_users].copy()
     h_up = frontend.rx[:, None] * h_p * user_tx[None, :]
@@ -113,17 +116,6 @@ def sum_rate(h_dl: np.ndarray, precoder: np.ndarray, noise_var: float) -> float:
     signal = np.diag(power)
     interference = power.sum(axis=1) - signal
     return float(np.sum(np.log2(1.0 + signal / (interference + noise_var))))
-
-
-def evm(received: np.ndarray, sent: np.ndarray) -> float:
-    """Error vector magnitude: mean of |r - s|^2 / |s|^2."""
-    received = np.asarray(received)
-    sent = np.asarray(sent)
-    if received.shape != sent.shape:
-        raise ValueError("received and sent sample vectors must have equal shape")
-    if np.any(sent == 0):
-        raise ValueError("EVM is undefined for zero reference symbols")
-    return float(np.mean(np.abs(received - sent) ** 2 / np.abs(sent) ** 2))
 
 
 def variant_sum_rates(scenario: DownlinkScenario, coefficients: dict[str, np.ndarray]) -> dict[str, dict[str, float]]:

@@ -33,11 +33,15 @@ _DEGENERACY_FRACTION = 1e-12
 
 @dataclass
 class CalibrationEstimate:
-    """Estimated coefficient vector plus the EM run that produced it, if any."""
+    """EM's result: the coefficient vector, the steps run and whether the last met ``delta_ml``.
+
+    The closed forms (:func:`gmm_estimate`, :func:`linear_array_ml`) run no
+    iteration and return the bare vector.
+    """
 
     c_hat: np.ndarray
-    iterations: int = 0
-    converged: bool = True
+    iterations: int
+    converged: bool
 
 
 @dataclass
@@ -70,7 +74,7 @@ class EmSettings:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None = None) -> CalibrationEstimate:
+def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None = None) -> np.ndarray:
     """Closed-form moment-matching estimate under a non-degeneracy constraint.
 
     With ``ref-one`` the reference coefficient is pinned to exactly 1 and the
@@ -86,12 +90,14 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
     ``smallest_eigenvector``), rotated so the anchor entry (``ref`` if given,
     else the largest-magnitude one) is real positive.
     """
-    q = data.moments
+    if constraint not in (REF_ONE, UNIT_NORM):
+        raise ValueError(f"constraint must be '{REF_ONE}' or '{UNIT_NORM}', got {constraint!r}")
     M = data.n_antennas
     if (ref is None and constraint == REF_ONE) or (ref is not None and not 0 <= ref < M):
         raise ValueError(f"{constraint} constraint needs a reference index in 0..{M - 1}, got {ref}")
 
     if constraint == REF_ONE:
+        q = data.moments
         others = np.arange(M) != ref
         q_oo = q[np.ix_(others, others)]
         q_or = q[others, ref]
@@ -110,16 +116,13 @@ def gmm_estimate(data: SoundingData, constraint: str = REF_ONE, ref: int | None 
         c = np.empty(M, dtype=complex)
         c[others] = _HETRS(factor, pivots, -q_or)[0]
         c[ref] = 1.0
-        return CalibrationEstimate(c)
+        return c
 
-    if constraint == UNIT_NORM:
-        c = data.smallest_eigenvector
-        anchor = ref if ref is not None else int(np.argmax(np.abs(c)))
-        # a fresh vector either way: the sounding keeps its eigenvector
-        rotation = np.abs(c[anchor]) / c[anchor] if np.abs(c[anchor]) > 0 else 1.0
-        return CalibrationEstimate(c * rotation)
-
-    raise ValueError(f"constraint must be '{REF_ONE}' or '{UNIT_NORM}', got {constraint!r}")
+    c = data.smallest_eigenvector
+    anchor = ref if ref is not None else int(np.argmax(np.abs(c)))
+    # a fresh vector either way: the sounding keeps its eigenvector
+    rotation = np.abs(c[anchor]) / c[anchor] if np.abs(c[anchor]) > 0 else 1.0
+    return c * rotation
 
 
 def _em_psi_step(y, yt, off_mask, c, epsilon) -> np.ndarray:
@@ -167,7 +170,7 @@ def em_iterates(data: SoundingData, settings: EmSettings | None = None) -> Itera
         raise ValueError(f"EM needs a reference index in 0..{M - 1}, got {settings.ref}")
 
     if settings.init is None:
-        c = gmm_estimate(data, UNIT_NORM, ref=settings.ref).c_hat
+        c = gmm_estimate(data, UNIT_NORM, ref=settings.ref)
     else:
         c = settings.init.astype(complex)
         if c.shape != (M,):
@@ -219,7 +222,7 @@ def _chain_mask(n_antennas: int) -> np.ndarray:
     return mask
 
 
-def linear_array_ml(data: SoundingData) -> CalibrationEstimate:
+def linear_array_ml(data: SoundingData) -> np.ndarray:
     """Sequential closed-form ML for a chain measured between neighbours only.
 
     Starting from c_0 = 1, each next coefficient follows from the
@@ -236,8 +239,7 @@ def linear_array_ml(data: SoundingData) -> CalibrationEstimate:
     if np.any(mag2 == 0):
         raise DegeneracyError("a chain measurement has zero magnitude; the ratio is undefined")
     ratios = np.conj(down) * up / mag2
-    c = np.concatenate([[1.0 + 0.0j], np.cumprod(ratios)])
-    return CalibrationEstimate(c)
+    return np.concatenate([[1.0 + 0.0j], np.cumprod(ratios)])
 
 
 @dataclass

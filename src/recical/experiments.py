@@ -47,11 +47,10 @@ from .crlb import CrlbInputs, CrlbReport, crlb_coefficients
 from .downlink import EM_VARIANT, GMM_VARIANT, PERFECT, PRECODERS, TRUE_CSI, UNCALIBRATED, draw_scenario, variant_sum_rates
 from .estimators import EmSettings, em_calibrate, em_iterates, gmm_estimate, score_mse
 from .frontend import FrontEnd, deterministic_frontend, random_frontend, true_coefficients
-from .geometry import ArrayGeometry, CouplingModel, draw_channel, draw_coupling, full_mask, reduced_mask
-from .sounding import draw_unit_noise, sound
+from .geometry import ArrayGeometry, CouplingModel, draw_channel, draw_complex_normal, draw_coupling, full_mask, reduced_mask
+from .sounding import sound
 from .wideband import (
     WidebandParams,
-    WidebandTruth,
     ks_gaussianity,
     pca,
     per_subcarrier_estimate,
@@ -247,14 +246,14 @@ def _run_trials(worker, ctx, trials: int) -> list:
 
 @dataclass
 class _TrialContext:
-    """What every task of one run shares; ``truths`` holds the wideband realizations."""
+    """What every task of one run shares; ``truths`` holds the wideband realizations, (R, M, N)."""
 
     config: ExperimentConfig
     geometry: ArrayGeometry
     model: CouplingModel
     frontend: FrontEnd
     coupling_mean: np.ndarray | None = None
-    truths: list[WidebandTruth] | None = None
+    truths: np.ndarray | None = None
 
     def trial_stream(self, t: int) -> np.random.Generator:
         return trial_rng(self.config.seed, self.config.experiment, t)
@@ -268,7 +267,7 @@ class _TrialContext:
         alone leaves it.
         """
         h = draw_channel(self.geometry, self.model, rng, coupling=self.coupling_mean)
-        unit_noise = draw_unit_noise(rng, h.shape[0])
+        unit_noise = draw_complex_normal(rng, h.shape)
         for n0 in n0s:
             yield sound(h, self.frontend, n0, rng, unit_noise=unit_noise)
 
@@ -290,8 +289,7 @@ def _mse_trial(t: int) -> list[tuple[np.ndarray, np.ndarray]]:
     settings = _em_settings(config)
     n0s = [db_to_linear(n0_db) for n0_db in config.mse_sweep.n0_grid_db]
     return [
-        (gmm_estimate(data, config.estimator.gmm_constraint, ref=_CTX.frontend.ref).c_hat,
-         em_calibrate(data, settings).c_hat)
+        (gmm_estimate(data, config.estimator.gmm_constraint, ref=_CTX.frontend.ref), em_calibrate(data, settings).c_hat)
         for data in _CTX.soundings(n0s, _CTX.trial_stream(t))
     ]
 
@@ -379,7 +377,7 @@ def _capacity_trial(t: int) -> dict[str, dict[str, float]]:
         (data,) = ctx.soundings([db_to_linear(cap.cal_n0_db)], rng)
         estimates = {}
         if GMM_VARIANT in cap.variants:
-            estimates[GMM_VARIANT] = gmm_estimate(data, cap.gmm_constraint, ref=ref).c_hat
+            estimates[GMM_VARIANT] = gmm_estimate(data, cap.gmm_constraint, ref=ref)
         if EM_VARIANT in cap.variants:
             estimates[EM_VARIANT] = em_calibrate(data, _em_settings(ctx.config)).c_hat
         coefficients.update({variant: c / c[ref] for variant, c in estimates.items()})

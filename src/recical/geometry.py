@@ -117,6 +117,17 @@ def coupling_magnitudes(geom: ArrayGeometry, model: CouplingModel) -> np.ndarray
     return 10.0 ** (gain_db / 20.0)
 
 
+def draw_complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian draw whose parts are standard normal.
+
+    The real and imaginary parts are two standard-normal draws of ``shape``,
+    in that order.  Every complex Gaussian draw of the package (diffuse
+    channel, sounding noise, downlink channel) comes from here, so that
+    order is part of what a seed reproduces.
+    """
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def draw_coupling(geom: ArrayGeometry, model: CouplingModel, rng: np.random.Generator) -> np.ndarray:
     """Mutual-coupling matrix: deterministic amplitude, one uniform phase per pair."""
     amp = coupling_magnitudes(geom, model)
@@ -144,7 +155,7 @@ def draw_channel(
         coupling = draw_coupling(geom, model, rng)
     M = geom.n_antennas
     scale = np.sqrt(model.sigma2 / 2.0)
-    diffuse = scale * (rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
+    diffuse = scale * draw_complex_normal(rng, (M, M))
     h = coupling + _mirror_upper(diffuse)
     np.fill_diagonal(h, np.nan + 1j * np.nan)
     return h

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .frontend import FrontEnd
-from .geometry import check_connected, full_mask
+from .geometry import check_connected, draw_complex_normal, full_mask
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class SoundingData:
 
     matrix: np.ndarray      # (M, M) complex, NaN outside the mask
     mask: np.ndarray        # (M, M) bool, ordered pairs actually measured
-    noise_var: float
 
     @property
     def n_antennas(self) -> int:
@@ -75,15 +74,6 @@ class SoundingData:
         return scipy.linalg.eigh(self.moments, subset_by_index=[0, 0])[1][:, 0]
 
 
-def draw_unit_noise(rng: np.random.Generator, n_antennas: int) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian noise, (M, M).
-
-    The real and imaginary parts are two standard-normal M x M draws, in
-    that order; :func:`sound` scales them to the noise variance.
-    """
-    return rng.standard_normal((n_antennas, n_antennas)) + 1j * rng.standard_normal((n_antennas, n_antennas))
-
-
 def sound(
     channel: np.ndarray,
     frontend: FrontEnd,
@@ -99,8 +89,9 @@ def sound(
     ``noise_var``, independent across ordered pairs, so y[n, m] and y[m, n]
     carry independent noise even though the channel itself is reciprocal.
     It is ``unit_noise`` scaled by sqrt(noise_var / 2); when that is not
-    given, :func:`draw_unit_noise` draws it from ``rng``.  Soundings of one
-    channel at several noise levels may share one draw.
+    given, :func:`~recical.geometry.draw_complex_normal` draws it from
+    ``rng``.  Soundings of one channel at several noise levels may share one
+    draw.
     """
     if not noise_var >= 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_var}")
@@ -112,10 +103,10 @@ def sound(
     if np.any(np.diag(mask)):
         raise ValueError("mask must not include diagonal (self) pairs")
     if unit_noise is None:
-        unit_noise = draw_unit_noise(rng, M)
+        unit_noise = draw_complex_normal(rng, channel.shape)
     elif unit_noise.shape != channel.shape:
         raise ValueError(f"unit_noise shape {unit_noise.shape} does not match the channel's {channel.shape}")
     noise = np.sqrt(noise_var / 2.0) * unit_noise
     clean = frontend.rx[:, None] * channel * frontend.tx[None, :]
     y = np.where(mask, clean + noise, np.nan + 1j * np.nan)
-    return SoundingData(y, mask.copy(), noise_var)
+    return SoundingData(y, mask.copy())

@@ -37,38 +37,21 @@ class WidebandParams:
     phase_slope_max: float = 1e-4
 
 
-@dataclass
-class WidebandTruth:
-    """One realization of the true wideband coefficients of all antennas.
-
-    values[m, k] = offsets[m] * exp((mag_slopes[m] + j*2*pi*phase_slopes[m]) * k)
-                   * exp(j*2*pi*phases[m])
-    where only ``phases`` changes between realizations.
-    """
-
-    values: np.ndarray        # (M, N) complex
-    offsets: np.ndarray       # (M,) complex
-    mag_slopes: np.ndarray    # (M,)
-    phase_slopes: np.ndarray  # (M,)
-    phases: np.ndarray        # (M,) uniform in [0, 1), per realization
-
-    @property
-    def n_antennas(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.values.shape[1]
-
-
 def synth_wideband(
     n_antennas: int,
     n_subcarriers: int,
     params: WidebandParams,
     realizations: int,
     rng: np.random.Generator,
-) -> list[WidebandTruth]:
-    """Draw kernel parameters once and realize the oscillator phase per run."""
+) -> np.ndarray:
+    """True wideband coefficients, (R, M, N) complex: realization, antenna, subcarrier.
+
+    truth[r, m, k] = A_m * exp((gamma_m + j*2*pi*xi_m) * k) * exp(j*2*pi*zeta_rm)
+
+    The kernel parameters (complex offset A, magnitude slope gamma, phase
+    slope xi) are drawn once, in that order; the oscillator phase zeta,
+    uniform in [0, 1), is drawn per realization, one antenna vector each.
+    """
     if realizations < 1:
         raise ValueError(f"need at least one realization, got {realizations}")
     k = np.arange(n_subcarriers)
@@ -79,16 +62,15 @@ def synth_wideband(
     gamma = rng.uniform(-params.mag_slope_max, params.mag_slope_max, size=n_antennas)
     xi = rng.uniform(-params.phase_slope_max, params.phase_slope_max, size=n_antennas)
     kernel = offsets[:, None] * np.exp((gamma + 2j * np.pi * xi)[:, None] * k[None, :])
-    out = []
-    for _ in range(realizations):
+    out = np.empty((realizations, n_antennas, n_subcarriers), dtype=complex)
+    for r in range(realizations):
         zeta = rng.uniform(size=n_antennas)
-        values = kernel * np.exp(2j * np.pi * zeta)[:, None]
-        out.append(WidebandTruth(values, offsets, gamma, xi, zeta))
+        out[r] = kernel * np.exp(2j * np.pi * zeta)[:, None]
     return out
 
 
 def per_subcarrier_estimate(
-    truth: WidebandTruth,
+    truth: np.ndarray,
     geom: ArrayGeometry,
     coupling: CouplingModel,
     noise_var: float,
@@ -96,13 +78,14 @@ def per_subcarrier_estimate(
     rng: np.random.Generator,
     em_settings: EmSettings | None = None,
 ) -> np.ndarray:
-    """Estimate the coefficients independently at every subcarrier.
+    """Estimate the coefficients independently at every subcarrier of one realization.
 
+    ``truth`` is that realization's (M, N) slice of :func:`synth_wideband`.
     Each subcarrier gets a front-end realizing the true coefficient column
     (transmit gains equal to the coefficients, unit receive gains), one
     sounding round with independent noise, and an unpenalized EM run seeded
     by the GMM estimate.  Results are normalized to the reference antenna,
-    so the noiseless output is exactly values[:, k] / values[ref, k].
+    so the noiseless output is exactly truth[:, k] / truth[ref, k].
 
     The channel, shared by all subcarriers, is drawn from ``rng`` with no
     coupling matrix, so each call (each wideband realization) draws its own
@@ -110,14 +93,15 @@ def per_subcarrier_estimate(
     the coupling phases fixed across trials, drawn from the run's shared
     stream.
     """
-    if truth.n_antennas != geom.n_antennas:
+    M, N = truth.shape
+    if M != geom.n_antennas:
         raise ValueError("truth and geometry disagree on the antenna count")
     settings = em_settings or EmSettings(ref=ref)
     h = draw_channel(geom, coupling, rng)
-    ones = np.ones(truth.n_antennas, dtype=complex)
-    out = np.empty_like(truth.values)
-    for k in range(truth.n_subcarriers):
-        fe = FrontEnd(truth.values[:, k].copy(), ones, ref)
+    ones = np.ones(M, dtype=complex)
+    out = np.empty_like(truth)
+    for k in range(N):
+        fe = FrontEnd(truth[:, k].copy(), ones, ref)
         data = sound(h, fe, noise_var, rng)
         est = em_calibrate(data, settings)
         out[:, k] = est.c_hat / est.c_hat[ref]

@@ -43,7 +43,7 @@ def timed_calls(rows, cols):
     # a fresh sounding per GMM call, so every call derives its mask and its
     # moment matrix as a trial's first estimator call does
     return (
-        lambda: gmm_estimate(SoundingData(data.matrix, data.mask, data.noise_var), constraint="unit-norm", ref=m // 2),
+        lambda: gmm_estimate(SoundingData(data.matrix, data.mask), constraint="unit-norm", ref=m // 2),
         lambda: em_calibrate(data, settings),
     )
 

@@ -8,7 +8,6 @@ from recical.downlink import (
     DownlinkScenario,
     calibrated_downlink,
     draw_scenario,
-    evm,
     mrt_precoder,
     sum_rate,
     variant_sum_rates,
@@ -111,33 +110,6 @@ class TestSumRate:
         assert wins / trials >= 0.95
 
 
-class TestEvm:
-    def test_exact_symbols_score_zero(self):
-        s = np.array([1.0 + 1.0j, -1.0 + 1.0j])
-        assert evm(s, s) == 0.0
-
-    def test_relative_real_offset(self):
-        s = np.array([1.0 + 0.0j, 0.0 + 2.0j, -3.0 + 0.0j])
-        delta = 0.04
-        assert evm(s * (1 + delta), s) == pytest.approx(delta**2)
-
-    def test_additive_noise_matches_variance(self):
-        rng = np.random.default_rng(0)
-        n = 1_000_000
-        s = np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
-        v = 3e-3
-        noise = np.sqrt(v / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        assert evm(s + noise, s) == pytest.approx(v, rel=0.01)
-
-    def test_zero_symbol_rejected(self):
-        with pytest.raises(ValueError):
-            evm(np.array([1.0 + 0j]), np.array([0.0 + 0j]))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            evm(np.ones(3), np.ones(4))
-
-
 class TestScenario:
     def test_downlink_consistent_with_uplink_draw(self, rng):
         fe = random_frontend(6, 0, 0.2, rng)
@@ -158,6 +130,10 @@ class TestScenario:
         fe = random_frontend(4, 0, 0.2, rng)
         with pytest.raises(ValueError, match="more users than base-station antennas"):
             draw_scenario(fe, 5, rng)
+        # with no user the ZF precoder would fail on an empty channel matrix
+        for n_users in (0, -1):
+            with pytest.raises(ValueError, match=f"need at least one user, got {n_users}"):
+                draw_scenario(fe, n_users, rng)
 
     def test_power_defaults_to_user_count(self, rng):
         fe = random_frontend(5, 0, 0.1, rng)

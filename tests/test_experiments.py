@@ -569,7 +569,6 @@ class TestSeeding:
             h = draw_channel(ctx.geometry, ctx.model, rng, coupling=ctx.coupling_mean)
             fresh = sound(h, ctx.frontend, n0, rng)
             assert data.matrix.tobytes() == fresh.matrix.tobytes()
-            assert data.noise_var == fresh.noise_var
         # later draws of the trial continue where the last level's sounding alone leaves off
         assert stream.bit_generator.state == rng.bit_generator.state
 
@@ -751,13 +750,18 @@ class TestCli:
 
 
 class TestBenchmarkTracing:
-    def test_traced_names_exist(self, monkeypatch):
-        # the benchmark's tracing wraps these names where they are looked up;
-        # its source is read and run here, nothing under perfbench/ is written
+    @staticmethod
+    def load_tracing(monkeypatch):
+        # the benchmark's tracing wraps names where they are looked up; its
+        # source is read and run here, nothing under perfbench/ is written
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         tracing = types.ModuleType("perfbench_tracing")
         monkeypatch.setitem(sys.modules, tracing.__name__, tracing)
         exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+        return tracing
+
+    def test_traced_names_exist(self, monkeypatch):
+        tracing = self.load_tracing(monkeypatch)
         assert tracing._SITES
         missing = [
             f"recical.{module}.{attr}"
@@ -765,3 +769,43 @@ class TestBenchmarkTracing:
             if not hasattr(importlib.import_module(f"recical.{module}"), attr)
         ]
         assert missing == []
+
+    def test_hooks_read_what_the_calls_give(self, tmp_path, monkeypatch):
+        # the hooks read EM's result and sounding, the bound's mask and the
+        # score's exclusions; one traced one-worker run of every experiment
+        # must record each span with its attributes
+        tracing = self.load_tracing(monkeypatch)
+        for module, attr in tracing._SITES:
+            mod = importlib.import_module(f"recical.{module}")
+            monkeypatch.setattr(mod, attr, getattr(mod, attr))  # undone after the test
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", experiments.ProcessPoolExecutor)
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        runs = {
+            "mse-sweep": {"trials": 2, "mse_sweep": {"n0_grid_db": [-60.0], "antennas": [1, 2]}},
+            "convergence": {"trials": 1, "estimator": {"epsilon_grid": [0.0]}, "convergence": {"track_iterations": 3}},
+            "capacity": {"trials": 1, "capacity": {"n_users": 2}},
+            "wideband": TINY_WIDEBAND,
+            "crlb-map": {"crlb_map": {"n0_grid_db": [-60.0]}},
+            "reduced-set": {},
+        }
+        for experiment, overrides in runs.items():
+            payload = {"experiment": experiment, "seed": 3, "workers": 1, "array": TINY_ARRAY,
+                       "out_dir": str(tmp_path / experiment)}
+            run_experiment(config_from_dict({**payload, **overrides}))
+
+        spans: dict[str, list] = {}
+        for span in tracer.spans:
+            spans.setdefault(span.name, []).append(span)
+        labels = {name for name, _ in tracing._SITES.values() if isinstance(name, str)}
+        assert set(spans) == labels | {"estimators.gmm_ref_one", "estimators.gmm_unit_norm"}
+        assert not [span.name for span in tracer.spans if "error" in span.attrs]
+        assert tracer.counters == {}
+        for span in spans["estimators.em_calibrate"]:
+            assert span.attrs["iterations"] >= 1
+            assert isinstance(span.attrs["converged"], bool)
+            assert span.attrs["m"] == 10
+        # full-mask bounds measure all 45 pairs of 10 antennas, the reduced-set bound fewer
+        pairs = {span.attrs["pairs"] for span in spans["crlb.fisher_information"]}
+        assert 45 in pairs and min(pairs) > 0
+        assert [span.attrs["excluded"] for span in spans["estimators.score_mse"]] == [0, 0]

@@ -5,8 +5,8 @@ import pytest
 from oracles import equivalent_channel
 
 from recical.frontend import FrontEnd, random_frontend, true_coefficients
-from recical.geometry import build_geometry, draw_channel, reduced_mask
-from recical.sounding import draw_unit_noise, sound
+from recical.geometry import build_geometry, draw_channel, draw_complex_normal, reduced_mask
+from recical.sounding import sound
 
 
 def identity_frontend(n):
@@ -51,7 +51,7 @@ class TestSound:
         h = draw_channel(geom, coupling, np.random.default_rng(6))
         fe = random_frontend(8, 1, 0.3, np.random.default_rng(7))
         drawn = sound(h, fe, 1e-3, np.random.default_rng(8))
-        shared = sound(h, fe, 1e-3, None, unit_noise=draw_unit_noise(np.random.default_rng(8), 8))
+        shared = sound(h, fe, 1e-3, None, unit_noise=draw_complex_normal(np.random.default_rng(8), (8, 8)))
         assert drawn.matrix.tobytes() == shared.matrix.tobytes()
 
     @pytest.mark.parametrize("shape", [(1, 8), (8,), (8, 1), (7, 7)], ids=lambda s: "x".join(map(str, s)))

@@ -28,24 +28,31 @@ class TestSynthWideband:
     def test_flat_parameters_give_constant_unit_rows(self, rng):
         params = WidebandParams(offset_range=(1.0, 1.0), mag_slope_max=0.0, phase_slope_max=0.0)
         truth = synth_wideband(5, 32, params, 1, rng)[0]
-        assert np.abs(truth.values) == pytest.approx(np.ones((5, 32)))
-        assert truth.values == pytest.approx(truth.values[:, :1] * np.ones((1, 32)))
+        assert np.abs(truth) == pytest.approx(np.ones((5, 32)))
+        assert truth == pytest.approx(truth[:, :1] * np.ones((1, 32)))
 
     def test_parameters_held_phases_redrawn(self, rng):
+        # offset magnitudes and both slopes are shared: each realization is
+        # the first turned by one phase per antenna, constant along k
         truths = synth_wideband(4, 16, WidebandParams(), 3, rng)
-        assert all(np.array_equal(t.offsets, truths[0].offsets) for t in truths)
-        assert all(np.array_equal(t.mag_slopes, truths[0].mag_slopes) for t in truths)
-        assert not np.array_equal(truths[0].phases, truths[1].phases)
+        assert truths.shape == (3, 4, 16)
+        assert np.abs(truths) == pytest.approx(np.broadcast_to(np.abs(truths[0]), truths.shape), rel=1e-12)
+        turns = truths / truths[0]
+        assert turns == pytest.approx(np.broadcast_to(turns[:, :, :1], truths.shape), rel=1e-12)
+        assert not np.allclose(turns[1, :, 0], 1.0)
 
     def test_oscillator_phase_zero_mean(self, rng):
-        truths = synth_wideband(1000, 4, WidebandParams(), 100, rng)
-        phasors = np.concatenate([np.exp(2j * np.pi * t.phases) for t in truths])
+        # one antenna's unit phasors turn only by its oscillator phase, so
+        # their mean has the modulus of that phase's mean
+        truths = synth_wideband(4, 4, WidebandParams(), 25_000, rng)
+        phasors = truths[:, :, 0] / np.abs(truths[:, :, 0])
         assert phasors.size == 100_000
-        assert abs(phasors.mean()) < 0.02
+        assert np.abs(phasors.mean(axis=0)).max() < 0.02
 
     def test_cross_antenna_phases_uncorrelated(self, rng):
         truths = synth_wideband(2, 4, WidebandParams(), 100_000, rng)
-        prods = np.array([np.exp(2j * np.pi * (t.phases[0] - t.phases[1])) for t in truths])
+        phasors = truths[:, :, 0] / np.abs(truths[:, :, 0])
+        prods = phasors[:, 0] * np.conj(phasors[:, 1])
         assert abs(prods.mean()) < 0.02
 
     def test_realization_count_validated(self, rng):
@@ -63,7 +70,7 @@ class TestPerSubcarrierEstimate:
         geom = build_geometry(2, 3)
         truth = synth_wideband(6, 16, WidebandParams(), 1, rng)[0]
         c_hat = per_subcarrier_estimate(truth, geom, coupling, 0.0, 5, rng)
-        assert c_hat == pytest.approx(truth.values / truth.values[5], abs=1e-9)
+        assert c_hat == pytest.approx(truth / truth[5], abs=1e-9)
 
     def test_errors_uncorrelated_across_subcarriers(self, coupling):
         # lag-1 autocorrelation oracle; per-antenna estimates carry only the
@@ -72,7 +79,7 @@ class TestPerSubcarrierEstimate:
         rng = np.random.default_rng(2)
         truth = synth_wideband(12, 1200, WidebandParams(), 1, rng)[0]
         c_hat = per_subcarrier_estimate(truth, geom, coupling, 1e-8, 5, rng)
-        err = c_hat - truth.values / truth.values[5]
+        err = c_hat - truth / truth[5]
         rho = []
         for m in range(12):
             if m == 5:
@@ -88,13 +95,13 @@ class TestPerSubcarrierEstimate:
         rng = np.random.default_rng(9)
         truth = synth_wideband(12, 400, WidebandParams(), 1, rng)[0]
         c_hat = per_subcarrier_estimate(truth, geom, coupling, n0, ref, rng)
-        err = c_hat - truth.values / truth.values[ref]
+        err = c_hat - truth / truth[ref]
         # the bound depends on subcarrier k only through the mild drift of
         # the realized gains; average it over a thin subsample
         mags = coupling_magnitudes(geom, coupling)
         bounds = []
         for k in range(0, 400, 80):
-            t = truth.values[:, k] / truth.values[ref, k]
+            t = truth[:, k] / truth[ref, k]
             fe = FrontEnd(t, np.ones(12, complex), ref)
             bounds.append(crlb_coefficients(CrlbInputs(fe, mags, coupling.sigma2, n0, full_mask(12))).bound)
         bound = np.mean(bounds, axis=0)
@@ -108,16 +115,15 @@ class TestPerSubcarrierEstimate:
 class TestPca:
     def test_noiseless_process_is_rank_one(self, rng):
         truths = synth_wideband(6, 100, WidebandParams(), 100, rng)
-        stack = np.stack([t.values for t in truths])
-        for res in pca(stack):
+        for res in pca(truths):
             assert res.eigenvalues[0] / res.eigenvalues[1] > 1e3
 
     def test_leading_component_aligned_with_kernel(self, rng):
         truths = synth_wideband(4, 100, WidebandParams(), 50, rng)
-        stack = np.stack([t.values for t in truths])
-        results = pca(stack)
+        results = pca(truths)
         for m, res in enumerate(results):
-            kern = kernel_row(1.0, truths[0].mag_slopes[m], truths[0].phase_slopes[m], 100)
+            # the kernel with unit offset: the row divided by its first entry
+            kern = truths[0, m] / truths[0, m, 0]
             overlap = abs(np.vdot(res.components[:, 0], kern)) / np.linalg.norm(kern)
             assert overlap > 0.999
 
