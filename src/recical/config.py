@@ -1,4 +1,12 @@
-"""Experiment configuration: JSON schema, defaults, and validation.
+"""Experiment configuration: the schema, its defaults, and validation.
+
+The dataclass annotations are the schema, and they declare the rules that
+repeat across keys: ``Literal`` names, ``Db`` powers (the linear value must
+fit a float) and non-empty lists.  ``validate`` checks the schema on the
+config object, every section, then the owned and relational rules of the
+shared sections and of the experiment that runs.  The checks read the
+annotations from ``dataclasses.fields``, so this module keeps them live
+objects: it does not import ``annotations`` from ``__future__``.
 
 Antenna numbers in configuration files and CSV outputs are 1-based
 (row-major over the grid, matching the usual array-hardware numbering);
@@ -11,14 +19,13 @@ into its CSV rows.
 All powers and variances given in dB use 10*log10(linear).
 """
 
-from __future__ import annotations
-
 import json
+import math
 import sys
 import types
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Literal, NewType, get_args, get_origin
 
 from .downlink import VARIANTS
 from .estimators import REF_ONE, UNIT_NORM, EmSettings
@@ -39,6 +46,8 @@ EXPERIMENTS = tuple(EXPERIMENT_IDS)
 
 GMM_CONSTRAINTS = (REF_ONE, UNIT_NORM)
 
+Db = NewType("Db", float)  # a power in dB whose linear value fits a float: at most about 3082 dB
+
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
@@ -48,21 +57,17 @@ class ConfigError(ValueError):
     """A configuration file failed validation."""
 
 
-def _check_db(name: str, *values: float) -> None:
-    """Refuse dB values whose linear value overflows a float (those above about 3082 dB)."""
-    for value in values:
-        try:
-            db_to_linear(value)
-        except OverflowError:
-            raise ConfigError(f"{name} must be at most about 3082 dB, got {value!r}") from None
-
-
 def _owned(keys: str, check: Callable[..., Any], *args: Any) -> None:
     """Call ``check``, the code that owns the values of ``keys``; its refusal becomes a ConfigError led by ``keys``."""
     try:
         check(*args)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{keys}: {exc}") from exc
+
+
+def _at_least(key: str, value: float, low: float) -> None:
+    if value < low:
+        raise ConfigError(f"{key} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -75,7 +80,7 @@ class ArraySection:
     def validate(self) -> None:
         _owned("array.rows, array.cols, array.spacing", self.geometry)
         if not (1 <= self.ref <= self.n_antennas):
-            raise ConfigError(f"reference antenna {self.ref} outside 1..{self.n_antennas}")
+            raise ConfigError(f"array.ref must be a reference antenna in 1..{self.n_antennas}, got {self.ref}")
 
     @property
     def n_antennas(self) -> int:
@@ -95,19 +100,17 @@ class CouplingSection:
     co_intercept_db: float = -12.0
     cross_slope_db: float = -10.0
     cross_intercept_db: float = -15.0
-    sigma2_db: float = -60.0
+    sigma2_db: Db = -60.0
 
 
 @dataclass
 class FrontendSection:
-    kind: str = "deterministic"  # or "random"
+    kind: Literal["deterministic", "random"] = "deterministic"
     spread: float = 0.1
 
     def validate(self) -> None:
-        if self.kind not in ("deterministic", "random"):
-            raise ConfigError(f"frontend kind must be deterministic or random, got {self.kind!r}")
         if not (0 <= self.spread < 1):
-            raise ConfigError(f"frontend spread must lie in [0, 1), got {self.spread}")
+            raise ConfigError(f"frontend.spread must be in [0, 1), got {self.spread}")
 
 
 @dataclass
@@ -116,78 +119,58 @@ class EstimatorSection:
     epsilon_grid: list[float] = field(default_factory=lambda: [0.0, 0.01, 0.1, 1.0])
     delta_ml: float = 1e-6
     max_iter: int | None = None
-    gmm_constraint: str = REF_ONE
+    gmm_constraint: Literal[GMM_CONSTRAINTS] = REF_ONE
 
     def validate(self) -> None:
-        if not self.epsilon_grid:
-            raise ConfigError("epsilon_grid must not be empty")
         for key, eps in [("epsilon", self.epsilon)] + [("epsilon_grid", e) for e in self.epsilon_grid]:
             _owned(f"estimator.{key}, estimator.delta_ml, estimator.max_iter", EmSettings, eps, self.delta_ml, self.max_iter)
-        if self.gmm_constraint not in GMM_CONSTRAINTS:
-            raise ConfigError(f"gmm_constraint must be {' or '.join(GMM_CONSTRAINTS)}, got {self.gmm_constraint!r}")
 
 
 @dataclass
 class MseSweepSection:
-    n0_grid_db: list[float] = field(
+    n0_grid_db: list[Db] = field(
         default_factory=lambda: [-100.0, -90.0, -80.0, -70.0, -60.0, -50.0, -45.0, -40.0, -35.0, -30.0]
     )
     antennas: list[int] = field(default_factory=lambda: [1, 39])  # 1-based
     reduced_radius: float = 0.7071067811865476
 
     def validate(self, array: ArraySection) -> None:
-        if not self.n0_grid_db:
-            raise ConfigError("n0_grid_db must not be empty")
-        _check_db("mse_sweep.n0_grid_db", *self.n0_grid_db)
-        if not self.antennas:
-            raise ConfigError("at least one antenna must be tracked")
         for a in self.antennas:
             if not (1 <= a <= array.n_antennas):
-                raise ConfigError(f"tracked antenna {a} outside 1..{array.n_antennas}")
+                raise ConfigError(f"mse_sweep.antennas: tracked antenna {a} outside 1..{array.n_antennas}")
             if a == array.ref:
-                raise ConfigError(f"tracked antenna {a} is the reference, whose coefficient is pinned to one")
+                raise ConfigError(f"mse_sweep.antennas: tracked antenna {a} is the reference, whose coefficient is pinned to one")
         _owned("mse_sweep.reduced_radius", reduced_mask, array.geometry(), self.reduced_radius)
 
 
 @dataclass
 class ConvergenceSection:
-    n0_db: float = -40.0
+    n0_db: Db = -40.0
     track_iterations: int = 50
 
     def validate(self, array: ArraySection) -> None:
-        _check_db("convergence.n0_db", self.n0_db)
-        if self.track_iterations < 1:
-            raise ConfigError("track_iterations must be >= 1")
+        _at_least("convergence.track_iterations", self.track_iterations, 1)
 
 
 @dataclass
 class CapacitySection:
     n_users: int = 10
-    cal_n0_db: float = -40.0
-    dl_noise_db: float = 0.0  # N_w = 1
-    variants: list[str] = field(default_factory=lambda: list(VARIANTS))
-    gmm_constraint: str = UNIT_NORM
+    cal_n0_db: Db = -40.0
+    dl_noise_db: Db = 0.0  # N_w = 1
+    variants: list[Literal[VARIANTS]] = field(default_factory=lambda: list(VARIANTS))
+    gmm_constraint: Literal[GMM_CONSTRAINTS] = UNIT_NORM
     reciprocal_users: bool = True
 
     def validate(self, array: ArraySection) -> None:
         if not (1 <= self.n_users <= array.n_antennas):
-            raise ConfigError(f"n_users must lie in 1..{array.n_antennas}, got {self.n_users}")
-        _check_db("capacity.cal_n0_db", self.cal_n0_db)
-        _check_db("capacity.dl_noise_db", self.dl_noise_db)
-        unknown = set(self.variants) - set(VARIANTS)
-        if unknown:
-            raise ConfigError(f"unknown capacity variants: {sorted(unknown)}")
-        if not self.variants:
-            raise ConfigError("at least one capacity variant required")
-        if self.gmm_constraint not in GMM_CONSTRAINTS:
-            raise ConfigError(f"gmm_constraint must be {' or '.join(GMM_CONSTRAINTS)}, got {self.gmm_constraint!r}")
+            raise ConfigError(f"capacity.n_users must be in 1..{array.n_antennas}, got {self.n_users}")
 
 
 @dataclass
 class WidebandSection:
     n_subcarriers: int = 1200
     realizations: int = 20
-    n0_db: float = -80.0
+    n0_db: Db = -80.0
     offset_range: list[float] = field(default_factory=lambda: [0.9, 1.1])
     mag_slope_max: float = 5e-5
     phase_slope_max: float = 1e-4
@@ -196,42 +179,37 @@ class WidebandSection:
     def validate(self, array: ArraySection) -> None:
         # each antenna's residual over the subcarriers feeds one KS test
         _owned("wideband.n_subcarriers, wideband.ks_alpha", ks_critical, self.n_subcarriers, self.ks_alpha)
-        if self.realizations < 2:
-            raise ConfigError("wideband experiment needs at least two realizations")
-        _check_db("wideband.n0_db", self.n0_db)
+        _at_least("wideband.realizations", self.realizations, 2)
         if len(self.offset_range) != 2 or not (0 < self.offset_range[0] <= self.offset_range[1]):
-            raise ConfigError("offset_range must be [lo, hi] with 0 < lo <= hi")
-        if self.mag_slope_max < 0 or self.phase_slope_max < 0:
-            raise ConfigError("mag_slope_max and phase_slope_max must be >= 0")
+            raise ConfigError(f"wideband.offset_range must be [lo, hi] with 0 < lo <= hi, got {self.offset_range}")
+        _at_least("wideband.mag_slope_max", self.mag_slope_max, 0)
+        _at_least("wideband.phase_slope_max", self.phase_slope_max, 0)
         if self.phase_slope_max >= 0.25:
             # the fit sees slopes relative to the reference, up to twice this
             # bound, and unwrapping folds any slope onto (-1/2, 1/2) cycles
-            raise ConfigError(f"phase_slope_max must be below 0.25 cycles/subcarrier, got {self.phase_slope_max}")
+            raise ConfigError(f"wideband.phase_slope_max must be below 0.25 cycles/subcarrier, got {self.phase_slope_max}")
 
 
 @dataclass
 class CrlbMapSection:
-    n0_grid_db: list[float] = field(default_factory=lambda: [-80.0, -60.0, -40.0])
+    n0_grid_db: list[Db] = field(default_factory=lambda: [-80.0, -60.0, -40.0])
 
     def validate(self, array: ArraySection) -> None:
-        if not self.n0_grid_db:
-            raise ConfigError("n0_grid_db must not be empty")
-        _check_db("crlb_map.n0_grid_db", *self.n0_grid_db)
+        """Nothing beyond the schema: the grid's rules are all declared by its annotation."""
 
 
 @dataclass
 class ReducedSetSection:
-    n0_db: float = -80.0
+    n0_db: Db = -80.0
     radius: float = 0.7071067811865476
 
     def validate(self, array: ArraySection) -> None:
         _owned("reduced_set.radius", reduced_mask, array.geometry(), self.radius)
-        _check_db("reduced_set.n0_db", self.n0_db)
 
 
 @dataclass
 class ExperimentConfig:
-    experiment: str = "mse-sweep"
+    experiment: Literal[EXPERIMENTS] = "mse-sweep"
     seed: int = 12345
     trials: int = 1000
     out_dir: str = "out"
@@ -248,23 +226,16 @@ class ExperimentConfig:
     reduced_set: ReducedSetSection = field(default_factory=ReducedSetSection)
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"experiment must be one of {', '.join(EXPERIMENTS)}; got {self.experiment!r}"
-            )
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        _check_db("coupling.sigma2_db", self.coupling.sigma2_db)
+        _check_schema(self)
+        _at_least("seed", self.seed, 0)
+        _at_least("trials", self.trials, 1)
+        _at_least("workers", self.workers, 1)
         self.array.validate()
         self.frontend.validate()
         self.estimator.validate()
-        # only the active experiment's section, named after it, is validated,
-        # so defaults for the 4x25 array do not block other experiments on
-        # smaller arrays
+        # only the active experiment's section, named after it, is validated
+        # beyond the schema, so defaults for the 4x25 array do not block
+        # other experiments on smaller arrays
         getattr(self, self.experiment.replace("-", "_")).validate(self.array)
 
     def to_dict(self) -> dict[str, Any]:
@@ -272,58 +243,81 @@ class ExperimentConfig:
 
 
 def _matches(value: Any, hint: Any) -> bool:
-    """Whether a JSON value fits an annotation: int rejects bool and float, float takes finite numbers, null needs ``| None``."""
+    """Whether a value fits an annotation: int refuses bool and float, float takes finite numbers, null needs ``| None``.
+
+    A ``Literal`` takes only its names, a ``Db`` value must have a finite
+    linear value, and a list must be non-empty.
+    """
     if get_origin(hint) is types.UnionType:
         return any(_matches(value, h) for h in get_args(hint))
+    if get_origin(hint) is Literal:
+        return isinstance(value, str) and value in get_args(hint)
     if get_origin(hint) is list:
-        return isinstance(value, list) and all(_matches(v, get_args(hint)[0]) for v in value)
+        return isinstance(value, list) and len(value) > 0 and all(_matches(v, get_args(hint)[0]) for v in value)
     if isinstance(value, bool):
         return hint is bool
+    if hint is Db:
+        try:  # float() so that a numpy value overflows as a Python float does
+            return _matches(value, float) and math.isfinite(db_to_linear(float(value)))
+        except OverflowError:
+            return False
     if hint is float:
         # refuses NaN, Infinity and integers past the float range
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)
 
 
-def _widen(value: Any, hint: Any) -> Any:
-    """A value that fits ``hint``, with JSON integers in float positions made floats."""
+def _describe(hint: Any) -> str:
+    """How a refusal names an annotation: in its own notation, with the rules it carries spelled out."""
+    if get_origin(hint) is Literal:
+        return " | ".join(map(repr, get_args(hint)))
     if get_origin(hint) is list:
-        return [_widen(v, get_args(hint)[0]) for v in value]
-    return float(value) if hint is float else value
+        return f"non-empty list[{_describe(get_args(hint)[0])}]"
+    if get_origin(hint) is types.UnionType:
+        return " | ".join(map(_describe, get_args(hint)))
+    if is_dataclass(hint):
+        return "an object"
+    return {float: "float (finite)", Db: "dB (finite, at most about 3082)", type(None): "None"}.get(hint, hint.__name__)
 
 
-def _build(cls, payload: Any, prefix: str = ""):
-    """An instance of the dataclass ``cls`` from parsed JSON, its dataclass-typed fields built as sections.
+def _check_schema(obj: Any, prefix: str = "") -> None:
+    """Refuse the first value of the config object ``obj`` that does not fit its annotation, led by its key."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not _matches(value, f.type):
+            raise ConfigError(f"{prefix}{f.name} must be {_describe(f.type)}, got {value!r}")
+        if is_dataclass(f.type):
+            _check_schema(value, f"{prefix}{f.name}.")
 
-    Every value is checked against its field annotation, and JSON integers
-    in float positions are widened, so ``-60`` and ``-60.0`` configure the
-    same run, down to the bytes of the CSVs and of the manifest's config echo.
+
+def _from_json(value: Any, hint: Any, key: str) -> Any:
+    """A JSON value in the position ``hint``, its object built as a section or its integer made a float.
+
+    Widening makes ``-60`` and ``-60.0`` give the same CSV bytes and config
+    echo.  Any other value is left as it is, for ``validate`` to check.
     """
-    section = prefix.rstrip(".")
-    if not isinstance(payload, dict):
-        raise ConfigError(f"section {section!r} must be an object" if section else "configuration root must be a JSON object")
-    unknown = set(payload) - {f.name for f in fields(cls)}
+    if is_dataclass(hint) and isinstance(value, dict):
+        return _build(hint, value, f"{key}.")
+    if get_origin(hint) is list and isinstance(value, list):
+        return [_from_json(v, get_args(hint)[0], key) for v in value]
+    if hint in (float, Db) and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    return value
+
+
+def _build(cls, payload: dict[str, Any], prefix: str = ""):
+    """The dataclass ``cls`` from a parsed JSON object; only unknown keys are refused here."""
+    hints = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(payload) - set(hints))
     if unknown:
-        where = f"keys in section {section!r}" if section else "top-level keys"
-        raise ConfigError(f"unknown {where}: {sorted(unknown)}")
-    hints = get_type_hints(cls)
-    values: dict[str, Any] = {}
-    for f in fields(cls):
-        if f.name not in payload:
-            continue
-        value, hint = payload[f.name], hints[f.name]
-        if is_dataclass(hint):
-            values[f.name] = _build(hint, value, f"{prefix}{f.name}.")
-        elif _matches(value, hint):
-            values[f.name] = _widen(value, hint)
-        else:
-            finite = " (finite)" if "float" in f.type else ""
-            raise ConfigError(f"{prefix}{f.name} must be {f.type}{finite}, got {value!r}")
-    return cls(**values)
+        raise ConfigError(f"{', '.join(prefix + key for key in unknown)}: not a key of the schema")
+    return cls(**{name: _from_json(value, hints[name], prefix + name) for name, value in payload.items()})
 
 
 def config_from_dict(payload: Any) -> ExperimentConfig:
-    """Build, type-check against the field annotations, and validate a config from parsed JSON."""
+    """Build a config from parsed JSON and validate it, schema first."""
+    if not isinstance(payload, dict):
+        raise ConfigError("configuration root must be a JSON object")
     cfg = _build(ExperimentConfig, payload)
     cfg.validate()
     return cfg

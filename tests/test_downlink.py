@@ -78,6 +78,10 @@ class TestPrecoders:
         with pytest.raises(np.linalg.LinAlgError):
             zf_precoder(g, 2.0)
 
+    def test_all_zero_channel_rejected_by_mrt(self):
+        with pytest.raises(ValueError, match="cannot normalize an all-zero channel matrix"):
+            mrt_precoder(np.zeros((2, 4), dtype=complex), 1.0)
+
 
 class TestSumRate:
     def test_diagonal_gain_closed_form(self):

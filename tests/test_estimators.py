@@ -21,7 +21,7 @@ from recical.estimators import (
     linear_array_ml,
     score_mse,
 )
-from recical.frontend import random_frontend, true_coefficients
+from recical.frontend import deterministic_frontend, random_frontend, true_coefficients
 from recical.geometry import build_geometry, check_connected, draw_channel, reduced_mask
 from recical.sounding import SoundingData, sound
 
@@ -272,6 +272,20 @@ class TestEm:
         data.matrix[:] = 0.0
         with pytest.raises(DegeneracyError):
             em_calibrate(data, EmSettings(init=np.ones(3, complex), epsilon=0.0))
+
+    @pytest.mark.parametrize("epsilon", [1.0, 10.0, 1000.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_penalty_collapse_to_zero_raises(self, coupling, epsilon, seed):
+        # at n0 = 1e-8 a penalty this large shrinks the coefficients at every
+        # step, and no delta_ml stops the run first: the drift check must
+        rng = np.random.default_rng(seed)
+        h = draw_channel(build_geometry(2, 4), coupling, rng)
+        data = sound(h, deterministic_frontend(8, 0), 1e-8, rng)
+        norms = []
+        with pytest.raises(DegeneracyError, match="drifted to the all-zero solution"):
+            for c, _, _ in em_iterates(data, EmSettings(epsilon=epsilon, delta_ml=1e-300, ref=0)):
+                norms.append(np.linalg.norm(c))
+        assert np.all(np.diff(norms) < 0)
 
     @given(sounding_cases())
     def test_default_init_is_unit_norm_gmm(self, coupling, case):

@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import math
+import re
 import subprocess
 import sys
 import types
@@ -68,11 +69,11 @@ class TestConfig:
             default_config(experiment).validate()
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown top-level"):
+        with pytest.raises(ConfigError, match=r"^typo: not a key of the schema$"):
             config_from_dict({"experiment": "capacity", "typo": 1})
 
     def test_unknown_section_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown keys in section"):
+        with pytest.raises(ConfigError, match=r"^array\.colunms: not a key of the schema$"):
             config_from_dict({"array": {"rows": 4, "colunms": 25}})
 
     def test_reference_bounds_checked(self):
@@ -96,12 +97,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize("payload", [[], None, "mse-sweep"])
+    def test_root_must_be_an_object(self, payload):
+        with pytest.raises(ConfigError, match="^configuration root must be a JSON object$"):
+            config_from_dict(payload)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict({"seed": -1})
 
     def test_variant_names_checked(self):
-        with pytest.raises(ConfigError, match="unknown capacity variants"):
+        with pytest.raises(ConfigError, match=r"^capacity\.variants must be .*, got \['dirty-paper'\]$"):
             config_from_dict({"experiment": "capacity", "capacity": {"variants": ["dirty-paper"]}})
 
     @pytest.mark.parametrize(
@@ -140,6 +146,72 @@ class TestConfig:
     def test_wrong_json_type_rejected(self, payload, field):
         with pytest.raises(ConfigError, match=rf"^{field} must be "):
             config_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "payload, key, shown",
+        [
+            # schema rules: names, non-empty lists, dB values and section
+            # objects, checked in every section
+            ({"experiment": "urban-macro"}, "experiment", "'urban-macro'"),
+            ({"frontend": {"kind": "rand"}}, "frontend.kind", "'rand'"),
+            ({"estimator": {"gmm_constraint": "unit"}}, "estimator.gmm_constraint", "'unit'"),
+            ({"capacity": {"gmm_constraint": "unit"}}, "capacity.gmm_constraint", "'unit'"),
+            ({"estimator": {"epsilon_grid": []}}, "estimator.epsilon_grid", "[]"),
+            ({"mse_sweep": {"n0_grid_db": []}}, "mse_sweep.n0_grid_db", "[]"),
+            ({"mse_sweep": {"antennas": []}}, "mse_sweep.antennas", "[]"),
+            ({"capacity": {"variants": []}}, "capacity.variants", "[]"),
+            ({"crlb_map": {"n0_grid_db": []}}, "crlb_map.n0_grid_db", "[]"),
+            ({"wideband": {"offset_range": []}}, "wideband.offset_range", "[]"),
+            ({"experiment": "capacity", "wideband": {"n0_db": 3083}}, "wideband.n0_db", "3083.0"),
+            ({"array": 5}, "array", "5"),
+            ({"capacity": ["gmm"]}, "capacity", "['gmm']"),
+            # the other rules, of the shared sections and the running experiment's
+            ({"seed": -1}, "seed", "-1"),
+            ({"trials": 0}, "trials", "0"),
+            ({"workers": 0}, "workers", "0"),
+            ({"array": {"ref": 101}}, "array.ref", "101"),
+            ({"frontend": {"spread": 1.0}}, "frontend.spread", "1.0"),
+            ({"experiment": "convergence", "convergence": {"track_iterations": 0}}, "convergence.track_iterations", "0"),
+            ({"experiment": "capacity", "capacity": {"n_users": 101}}, "capacity.n_users", "101"),
+            ({"experiment": "wideband", "wideband": {"realizations": 1}}, "wideband.realizations", "1"),
+            ({"experiment": "wideband", "wideband": {"offset_range": [1.1, 0.9]}}, "wideband.offset_range", "[1.1, 0.9]"),
+            ({"experiment": "wideband", "wideband": {"offset_range": [0.9, 1.0, 1.1]}}, "wideband.offset_range",
+             "[0.9, 1.0, 1.1]"),
+            ({"experiment": "wideband", "wideband": {"mag_slope_max": -1}}, "wideband.mag_slope_max", "-1.0"),
+        ],
+    )
+    def test_refusal_names_key_and_value(self, payload, key, shown):
+        with pytest.raises(ConfigError) as refused:
+            config_from_dict(payload)
+        message = str(refused.value)
+        assert message.startswith(f"{key} must be ") and message.endswith(f", got {shown}"), message
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "workers", "2"),
+            ("array", "rows", 4.0),
+            ("estimator", "max_iter", 2.5),
+            ("frontend", "kind", "rand"),
+            ("capacity", "variants", ["gmm", "zero-forcing"]),
+            ("coupling", "sigma2_db", 3083.0),
+            # numpy's power returns inf where Python's raises
+            ("reduced_set", "n0_db", np.float64(4000.0)),
+            (None, "estimator", {"epsilon": 0.0}),
+        ],
+    )
+    def test_python_built_config_checked_by_validate(self, tmp_path, section, key, value):
+        # a config changed in Python, as the CLI's overrides change one, meets
+        # the schema that JSON meets, and a run refuses it before any output
+        cfg = tiny_mse_config(tmp_path / "out")
+        setattr(cfg if section is None else getattr(cfg, section), key, value)
+        name = key if section is None else f"{section}.{key}"
+        pattern = rf"^{re.escape(name)} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=pattern):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=pattern):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_db_values_within_float_range_accepted(self):
         # the largest whole dB value still converts; a very negative one converts to zero
@@ -382,6 +454,11 @@ class TestRunners:
         assert (tmp_path / "with" / "mse_sweep.csv").read_bytes() == (
             tmp_path / "without" / "mse_sweep.csv"
         ).read_bytes()
+
+    def test_refused_mallopt_reported(self, monkeypatch):
+        # mallopt returns 0 for a setting it refuses; here the trim threshold
+        monkeypatch.setattr(experiments, "_mallopt", lambda: lambda param, value: int(param == experiments._M_MMAP_THRESHOLD))
+        assert experiments.set_allocator_thresholds() == {"mallopt": "failed: returned [1, 0]"}
 
     def test_worker_init_sets_allocator_thresholds(self, monkeypatch):
         calls = []
@@ -699,7 +776,7 @@ class TestCli:
         assert len(result.stderr.splitlines()) == 1
         payload = json.loads(result.stderr)
         assert payload["type"] == "ConfigError"
-        assert "'n_fft'" in payload["error"]
+        assert payload["error"] == "wideband.n_fft: not a key of the schema"
         assert not out.exists()
 
     def test_integer_and_float_json_write_same_bytes(self, tmp_path):

@@ -108,3 +108,20 @@ class TestFrontEndChecks:
         # a NaN compares false with zero, so the nonzero checks alone let it through
         with pytest.raises(ValueError, match="must be finite"):
             FrontEnd(np.array(tx, dtype=complex), np.array(rx, dtype=complex), 0)
+
+    @pytest.mark.parametrize("tx, rx", [([1.0, 1.0], [1.0, 1.0, 1.0]), ([[1.0, 1.0]], [[1.0, 1.0]])])
+    def test_mismatched_or_non_vector_gains_rejected(self, tx, rx):
+        with pytest.raises(ValueError, match="1-D vectors of equal length"):
+            FrontEnd(np.array(tx, dtype=complex), np.array(rx, dtype=complex), 0)
+
+    @pytest.mark.parametrize("ref", [-1, 2])
+    def test_reference_out_of_range_rejected(self, ref):
+        with pytest.raises(IndexError, match=rf"reference index {ref} out of range for M=2"):
+            FrontEnd(np.ones(2, complex), np.ones(2, complex), ref)
+
+    def test_zero_reference_transmit_gain_rejected(self):
+        # the reference's transmit gain fixes the scale; a zero elsewhere is a gain like any other
+        tx = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="transmit gain at the reference must be nonzero"):
+            FrontEnd(tx, np.ones(2, complex), 1)
+        assert FrontEnd(tx, np.ones(2, complex), 0).n_antennas == 2

@@ -104,6 +104,11 @@ class TestSound:
         with pytest.raises(ValueError):
             sound(h, identity_frontend(2), -1e-9, rng)
 
+    def test_mask_of_another_shape_rejected(self, coupling, rng):
+        h = draw_channel(build_geometry(1, 3), coupling, rng)
+        with pytest.raises(ValueError, match="mask shape does not match the channel matrix"):
+            sound(h, identity_frontend(3), 0.0, rng, mask=np.zeros((2, 2), dtype=bool))
+
     def test_mask_with_diagonal_rejected(self, coupling, rng):
         geom = build_geometry(1, 3)
         h = draw_channel(geom, coupling, rng)
