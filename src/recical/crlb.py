@@ -13,8 +13,9 @@ each touching at most eight parameter components.  Each contribution has a
 closed form (:func:`pair_information_blocks`): S is 2x2, and every parameter
 moves a single entry of v, so the covariance term tr(S^-1 dS_i S^-1 dS_j)
 with dS_i = sigma2 (dv_i v^H + v dv_i^H) reduces to products of scalars.
-The bound on each coefficient follows by transforming the inverse
-information through the Jacobian of c_m = t_m / r_m.
+The bound on c_m = t_m / r_m reads only antenna m's 4x4 diagonal block B
+of F^-1: with the gradient a + i b of c_m by that antenna's four real
+parameters it is a^T B a + b^T B b (:func:`crlb_coefficients`).
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ _REF_GAIN_TOL = 1e-12
 # numpy reuses it as the output of a multiply, with the operands swapped and
 # so rounded otherwise; a pair's block then does not depend on its chunk
 FIM_CHUNK_PAIRS = 1024
-# Jacobian rows whitened per triangular solve: the right-hand sides of one
-# solve take 2 x 64 columns of the factor's height, not a second matrix
-_JACOBIAN_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -209,59 +207,34 @@ def fisher_information(inputs: CrlbInputs) -> np.ndarray:
     return fim.reshape((dim, dim), order="F")
 
 
-def coefficient_jacobian(frontend: FrontEnd) -> np.ndarray:
-    """Complex Jacobian of c_m = t_m / r_m w.r.t. the stacked real parameters."""
-    M = frontend.n_antennas
-    ref = frontend.ref
-    antennas = np.flatnonzero(np.arange(M) != ref)
-    base = _theta_slot(antennas, ref)
-    t, r = frontend.tx[antennas], frontend.rx[antennas]
-    jac = np.zeros((M, 4 * (M - 1)), dtype=complex)
-    jac[antennas, base + 0] = 1.0 / r
-    jac[antennas, base + 1] = 1j / r
-    # np.power takes the complex power elementwise, as a scalar r ** 2 does;
-    # an array's r ** 2 squares by a vectorised multiply that rounds otherwise
-    r2 = np.power(r, 2)
-    jac[antennas, base + 2] = -t / r2
-    jac[antennas, base + 3] = -1j * t / r2
-    return jac
-
-
-def _whitened_norms(factor: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """||U^-T a^T||^2 + ||U^-T b^T||^2 for each row a + i b of ``rows``.
-
-    ``factor`` holds U in its upper triangle.  The right-hand sides, the
-    columns [Re j_m ... | Im j_m ...], are Fortran-ordered, so the solve
-    overwrites them and they are freed when this returns.
-    """
-    whitened = scipy.linalg.solve_triangular(
-        factor, np.concatenate([rows.real, rows.imag]).T, trans="T", overwrite_b=True, check_finite=False
-    )
-    squared = np.einsum("dk,dk->k", whitened, whitened)
-    return squared[: len(rows)] + squared[len(rows) :]
-
-
 def crlb_coefficients(inputs: CrlbInputs) -> CrlbReport:
     """Variance lower bound on every non-reference calibration coefficient.
 
-    The bound on c_m is j_m F^-1 j_m^H, where j_m = a + i b is row m of
-    :func:`coefficient_jacobian` and F the Fisher information.  F is real and
-    symmetric, so the cross terms i (b F^-1 a^T - a F^-1 b^T) cancel and the
-    bound is a F^-1 a^T + b F^-1 b^T.  With the Cholesky factor F = U^T U
-    each term is a squared norm, ||U^-T a^T||^2 + ||U^-T b^T||^2: real
-    triangular solves, 64 rows of the Jacobian at a time, give every bound.
+    c_m = t_m / r_m depends only on antenna m's four real parameters, whose
+    gradient is a + i b = [1/r_m, i/r_m, -t_m/r_m^2, -i t_m/r_m^2].  F is
+    real and symmetric, so the bound on c_m is a^T B a + b^T B b, where B is
+    antenna m's 4x4 diagonal block of F^-1.  With the Cholesky factor
+    F = U^T U and X = U^-1, B = X_m X_m^T for the antenna's four rows X_m of
+    X, so the bound is the sum of squares ||X_m^T a||^2 + ||X_m^T b||^2.
+    Formed from B itself, the quadratic forms cancel: t_m and r_m are known
+    far worse than their ratio, and at -100 dB on an 8x25 array they lost up
+    to 4e-12 relative.
 
     The work happens inside the matrix :func:`fisher_information` returns.
-    U overwrites its upper triangle and diagonal; the strict lower triangle
-    stays F's, so once the diagonal is written back the eigenvalues for
-    ``fim_condition`` come from the lower triangle of F itself.
+    U and then X overwrite its upper triangle and diagonal; the strict lower
+    triangle stays F's, so once the diagonal is written back the eigenvalues
+    for ``fim_condition`` come from F itself.
     """
     fim = fisher_information(inputs)
     diagonal = fim.diagonal().copy()
+    trtri = scipy.linalg.get_lapack_funcs("trtri", (fim,))
     try:
-        # checks that F is finite without copying it; potrf reads and writes
-        # only the upper triangle of the Fortran-ordered matrix
+        # checks that F is finite without copying it; potrf and trtri read
+        # and write only the upper triangle of the Fortran-ordered matrix
         scipy.linalg.cho_factor(fim, lower=False, overwrite_a=True)
+        _, info = trtri(fim, lower=0, overwrite_c=1)
+        if info != 0:
+            raise scipy.linalg.LinAlgError(f"trtri failed with info = {info}")
     except scipy.linalg.LinAlgError as exc:
         raise IdentifiabilityError(
             "the Fisher information is not positive definite; without unit "
@@ -269,10 +242,23 @@ def crlb_coefficients(inputs: CrlbInputs) -> CrlbReport:
             "does not exist -- check the mask connectivity and the reference "
             "convention"
         ) from exc
-    jac = coefficient_jacobian(inputs.frontend)
-    starts = range(0, jac.shape[0], _JACOBIAN_BLOCK_ROWS)
-    bound = np.concatenate([_whitened_norms(fim, jac[start : start + _JACOBIAN_BLOCK_ROWS]) for start in starts])
-    bound[inputs.frontend.ref] = np.nan
+    fe = inputs.frontend
+    antennas = np.flatnonzero(np.arange(fe.n_antennas) != fe.ref)
+    t, r = fe.tx[antennas], fe.rx[antennas]
+    # np.power takes the complex power elementwise, as a scalar r ** 2 does;
+    # an array's r ** 2 squares by a vectorised multiply that rounds otherwise
+    r2 = np.power(r, 2)
+    grad = np.stack([1.0 / r, 1j / r, -t / r2, -1j * t / r2], axis=1)
+    parts = np.stack([grad.real, grad.imag], axis=1)  # a and b of each antenna
+    bound = np.full(fe.n_antennas, np.nan)
+    for antenna, part in zip(antennas, parts):
+        # X_m from its diagonal on; below the diagonal the matrix holds F.
+        # einsum, not a BLAS product: with OpenBLAS a 2x4 by 4xn dgemm per
+        # antenna faults in pages that raised an M=200 crlb-map run's peak
+        # RSS by 0.3-0.5 MB
+        first = _theta_slot(antenna, fe.ref)
+        whitened = np.einsum("ij,jk->ik", part, np.triu(fim[first : first + 4, first:]))
+        bound[antenna] = np.einsum("ij,ij->", whitened, whitened)
     # the connected mask and the Cholesky factorisation make F positive
     # definite, so its singular values are its eigenvalues
     np.fill_diagonal(fim, diagonal)

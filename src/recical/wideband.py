@@ -239,6 +239,11 @@ def ks_critical(n: int, alpha: float) -> float:
         raise ValueError(f"KS verdict needs at least {KS_MIN_SAMPLES} samples, got {n}")
     if not (0 < alpha < 1):
         raise ValueError(f"significance level must be in (0, 1), got {alpha}")
+    try:
+        # float(n) rounds as numpy's integer-to-float cast does
+        n = float(n)
+    except OverflowError:
+        raise ValueError(f"KS verdict needs a sample count within the float range, got {n}") from None
     return float(np.sqrt(-0.5 * np.log(alpha / 2.0)) / np.sqrt(n))
 
 

@@ -8,7 +8,6 @@ import scipy.linalg
 from recical.crlb import (
     PAIR_CHANNELS,
     CrlbInputs,
-    coefficient_jacobian,
     fisher_information,
     pair_derivatives,
 )
@@ -198,11 +197,11 @@ def coefficient_jacobian_loop(frontend: FrontEnd) -> np.ndarray:
 def crlb_bound_complex_solve(inputs: CrlbInputs) -> np.ndarray:
     """Coefficient bounds diag(J F^-1 J^H) by a complex Cholesky solve, NaN at the reference.
 
-    J is :func:`recical.crlb.coefficient_jacobian` and F the Fisher
-    information; the solve runs on the complex J^H as it is, for comparison
-    with the real triangular solve of :func:`recical.crlb.crlb_coefficients`.
+    J is :func:`coefficient_jacobian_loop` and F the Fisher information; the
+    solve runs on the complex J^H as it is, for comparison with the real
+    per-antenna arithmetic of :func:`recical.crlb.crlb_coefficients`.
     """
-    jac = coefficient_jacobian(inputs.frontend)
+    jac = coefficient_jacobian_loop(inputs.frontend)
     solved = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher_information(inputs)), jac.conj().T)
     bound = np.einsum("md,dm->m", jac, solved).real
     bound[inputs.frontend.ref] = np.nan

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recical import experiments
+from recical import cli, experiments
 from recical.config import EXPERIMENT_IDS, ConfigError, ExperimentConfig, config_from_dict, default_config, load_config
 from recical.estimators import EmSettings
 from recical.experiments import run_experiment
@@ -241,6 +241,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^wideband\.n_subcarriers, .*KS verdict needs at least 50 samples, got 20$"):
             config_from_dict({"experiment": "wideband", "array": TINY_ARRAY, "wideband": {"n_subcarriers": 20}})
         config_from_dict({"experiment": "wideband", **TINY_WIDEBAND})
+
+    def test_wideband_sample_count_beyond_float_range_refused(self):
+        with pytest.raises(ConfigError, match=r"^wideband\.n_subcarriers, .*within the float range, got 1000"):
+            config_from_dict({"experiment": "wideband", "array": TINY_ARRAY, "wideband": {"n_subcarriers": 10**400}})
 
     @pytest.mark.parametrize(
         "key, payload, owner",
@@ -777,6 +781,18 @@ class TestCli:
         payload = json.loads(result.stderr)
         assert payload["type"] == "ConfigError"
         assert payload["error"] == "wideband.n_fft: not a key of the schema"
+        assert not out.exists()
+
+    def test_sample_count_beyond_float_range_gives_one_line_error_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"array": TINY_ARRAY, "wideband": {"n_subcarriers": 10**400}}))
+        out = tmp_path / "out"
+        assert cli.main(["wideband", "--config", str(cfg), "--out", str(out)]) == 1
+        stderr = capsys.readouterr().err
+        assert len(stderr.splitlines()) == 1
+        payload = json.loads(stderr)
+        assert payload["type"] == "ConfigError"
+        assert payload["error"].startswith("wideband.n_subcarriers, ")
         assert not out.exists()
 
     def test_integer_and_float_json_write_same_bytes(self, tmp_path):

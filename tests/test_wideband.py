@@ -10,6 +10,7 @@ from recical.frontend import FrontEnd
 from recical.geometry import build_geometry, coupling_magnitudes, full_mask
 from recical.wideband import (
     WidebandParams,
+    ks_critical,
     ks_gaussianity,
     pca,
     per_subcarrier_estimate,
@@ -267,6 +268,13 @@ class TestKsGaussianity:
         rng = np.random.default_rng(7)
         fails = sum(not ks_gaussianity(rng.uniform(-1, 1, 1200)).passed for _ in range(200))
         assert fails / 200 > 0.99
+
+    def test_critical_value_of_huge_counts(self):
+        # 10**20 is past int64, so numpy alone would not take it as a number
+        assert ks_critical(10**20, 0.05) == pytest.approx(1.3581015157406195e-10)
+        assert ks_critical(np.int64(1200), 0.05) == ks_critical(1200, 0.05)
+        with pytest.raises(ValueError, match="within the float range"):
+            ks_critical(10**400, 0.05)
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
