@@ -2,11 +2,12 @@
 
 The dataclass annotations are the schema, and they declare the rules that
 repeat across keys: ``Literal`` names, ``Db`` powers (the linear value must
-fit a float) and non-empty lists.  ``validate`` checks the schema on the
-config object, every section, then the owned and relational rules of the
-shared sections and of the experiment that runs.  The checks read the
-annotations from ``dataclasses.fields``, so this module keeps them live
-objects: it does not import ``annotations`` from ``__future__``.
+fit a float) and non-empty lists.  ``validate`` widens integers in number
+positions to floats and checks the schema on the config object, every
+section, then the owned and relational rules of the shared sections and of
+the experiment that runs.  The checks read the annotations from
+``dataclasses.fields``, so this module keeps them live objects: it does not
+import ``annotations`` from ``__future__``.
 
 Antenna numbers in configuration files and CSV outputs are 1-based
 (row-major over the grid, matching the usual array-hardware numbering);
@@ -29,7 +30,7 @@ from typing import Any, Callable, Literal, NewType, get_args, get_origin
 
 from .downlink import VARIANTS
 from .estimators import REF_ONE, UNIT_NORM, EmSettings
-from .geometry import ArrayGeometry, build_geometry, reduced_mask
+from .geometry import ArrayGeometry, build_geometry, check_connected, reduced_mask
 from .wideband import ks_critical
 
 # the ids are part of the seed contract: every random stream is derived from
@@ -140,7 +141,7 @@ class MseSweepSection:
                 raise ConfigError(f"mse_sweep.antennas: tracked antenna {a} outside 1..{array.n_antennas}")
             if a == array.ref:
                 raise ConfigError(f"mse_sweep.antennas: tracked antenna {a} is the reference, whose coefficient is pinned to one")
-        _owned("mse_sweep.reduced_radius", reduced_mask, array.geometry(), self.reduced_radius)
+        _owned("mse_sweep.reduced_radius", lambda: check_connected(reduced_mask(array.geometry(), self.reduced_radius)))
 
 
 @dataclass
@@ -204,7 +205,7 @@ class ReducedSetSection:
     radius: float = 0.7071067811865476
 
     def validate(self, array: ArraySection) -> None:
-        _owned("reduced_set.radius", reduced_mask, array.geometry(), self.radius)
+        _owned("reduced_set.radius", lambda: check_connected(reduced_mask(array.geometry(), self.radius)))
 
 
 @dataclass
@@ -243,7 +244,7 @@ class ExperimentConfig:
 
 
 def _matches(value: Any, hint: Any) -> bool:
-    """Whether a value fits an annotation: int refuses bool and float, float takes finite numbers, null needs ``| None``.
+    """Whether a value fits an annotation: int refuses bool and float, float takes finite floats, null needs ``| None``.
 
     A ``Literal`` takes only its names, a ``Db`` value must have a finite
     linear value, and a list must be non-empty.
@@ -262,8 +263,8 @@ def _matches(value: Any, hint: Any) -> bool:
         except OverflowError:
             return False
     if hint is float:
-        # refuses NaN, Infinity and integers past the float range
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        # refuses NaN, Infinity and the integers past the float range that widening left
+        return isinstance(value, float) and math.isfinite(value)
     return isinstance(value, hint)
 
 
@@ -280,38 +281,35 @@ def _describe(hint: Any) -> str:
     return {float: "float (finite)", Db: "dB (finite, at most about 3082)", type(None): "None"}.get(hint, hint.__name__)
 
 
-def _check_schema(obj: Any, prefix: str = "") -> None:
-    """Refuse the first value of the config object ``obj`` that does not fit its annotation, led by its key."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not _matches(value, f.type):
-            raise ConfigError(f"{prefix}{f.name} must be {_describe(f.type)}, got {value!r}")
-        if is_dataclass(f.type):
-            _check_schema(value, f"{prefix}{f.name}.")
-
-
-def _from_json(value: Any, hint: Any, key: str) -> Any:
-    """A JSON value in the position ``hint``, its object built as a section or its integer made a float.
-
-    Widening makes ``-60`` and ``-60.0`` give the same CSV bytes and config
-    echo.  Any other value is left as it is, for ``validate`` to check.
-    """
-    if is_dataclass(hint) and isinstance(value, dict):
-        return _build(hint, value, f"{key}.")
+def _widened(value: Any, hint: Any) -> Any:
+    """``value`` with the integers in float or dB positions made floats where they fit: ``-60`` configures as ``-60.0``."""
     if get_origin(hint) is list and isinstance(value, list):
-        return [_from_json(v, get_args(hint)[0], key) for v in value]
+        return [_widened(v, get_args(hint)[0]) for v in value]
     if hint in (float, Db) and type(value) is int and abs(value) <= sys.float_info.max:
         return float(value)
     return value
 
 
+def _check_schema(obj: Any, prefix: str = "") -> None:
+    """Widen each value of the config object ``obj``, refuse the first that does not fit its annotation, led by its key."""
+    for f in fields(obj):
+        value = _widened(getattr(obj, f.name), f.type)
+        if not _matches(value, f.type):
+            raise ConfigError(f"{prefix}{f.name} must be {_describe(f.type)}, got {value!r}")
+        setattr(obj, f.name, value)
+        if is_dataclass(f.type):
+            _check_schema(value, f"{prefix}{f.name}.")
+
+
 def _build(cls, payload: dict[str, Any], prefix: str = ""):
-    """The dataclass ``cls`` from a parsed JSON object; only unknown keys are refused here."""
+    """The dataclass ``cls`` from a parsed JSON object, its sections built too; only unknown keys are refused here."""
     hints = {f.name: f.type for f in fields(cls)}
     unknown = sorted(set(payload) - set(hints))
     if unknown:
         raise ConfigError(f"{', '.join(prefix + key for key in unknown)}: not a key of the schema")
-    return cls(**{name: _from_json(value, hints[name], prefix + name) for name, value in payload.items()})
+    sections = {name: _build(hints[name], value, f"{prefix}{name}.") for name, value in payload.items()
+                if is_dataclass(hints[name]) and isinstance(value, dict)}
+    return cls(**{**payload, **sections})
 
 
 def config_from_dict(payload: Any) -> ExperimentConfig:

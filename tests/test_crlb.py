@@ -191,14 +191,14 @@ class TestFisherInformation:
         assert np.all(np.abs(blocks - expected).max(axis=(1, 2)) <= 1e-12 * scale)
 
     @given(crlb_cases(), st.sampled_from([1, 7, 64, crlb.FIM_CHUNK_PAIRS]))
-    def test_bincount_scatter_matches_add_at(self, coupling, case, chunk):
+    def test_chunked_scatter_matches_one_shot_add_at(self, coupling, case, chunk):
         inputs = crlb_instance(coupling, *case)
         with mock.patch.object(crlb, "FIM_CHUNK_PAIRS", chunk):
             assert np.array_equal(fisher_information(inputs), add_at_in_chunks(inputs))
 
     @pytest.mark.parametrize("radius", [None, 1.5])
     @pytest.mark.parametrize("rows, cols", [(3, 7), (4, 25), (8, 25)])
-    def test_bincount_scatter_matches_add_at_full_size(self, coupling, rows, cols, radius):
+    def test_chunked_scatter_matches_one_shot_add_at_full_size(self, coupling, rows, cols, radius):
         m = rows * cols
         for ref, noise_var in ((0, 1e-10), (m // 2, 1e-6), (m - 1, 1e-3)):
             inputs = crlb_instance(coupling, rows, cols, radius, ref, True, noise_var, seed=ref)

@@ -17,10 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recical import cli, experiments
-from recical.config import EXPERIMENT_IDS, ConfigError, ExperimentConfig, config_from_dict, default_config, load_config
+from recical.config import (
+    EXPERIMENT_IDS, ArraySection, ConfigError, ConvergenceSection, CrlbMapSection, EstimatorSection,
+    ExperimentConfig, config_from_dict, default_config, load_config,
+)
 from recical.estimators import EmSettings
 from recical.experiments import run_experiment
-from recical.geometry import build_geometry, draw_channel, reduced_mask
+from recical.geometry import build_geometry, check_connected, draw_channel, reduced_mask
 from recical.sounding import sound
 from recical.wideband import ks_critical
 
@@ -221,7 +224,7 @@ class TestConfig:
     def test_json_types_that_fit_accepted(self):
         cfg = config_from_dict(
             {"array": {"spacing": 1}, "estimator": {"max_iter": None, "epsilon_grid": [0, 0.5]},
-             "capacity": {"reciprocal_users": False}}
+             "capacity": {"reciprocal_users": False}, "mse_sweep": {"reduced_radius": 1.0}}
         )
         assert cfg.array.spacing == 1 and cfg.estimator.max_iter is None
         # integers in float fields are widened, so they echo as floats
@@ -260,6 +263,13 @@ class TestConfig:
              lambda: reduced_mask(build_geometry(4, 25), -0.5)),
             ("reduced_set.radius", {"experiment": "reduced-set", "reduced_set": {"radius": -0.5}},
              lambda: reduced_mask(build_geometry(4, 25), -0.5)),
+            # radii that leave no measured pair: the bound's own connectivity check
+            ("mse_sweep.reduced_radius", {"array": {"spacing": 1.0}},
+             lambda: check_connected(reduced_mask(build_geometry(4, 25, 1.0), 0.7071067811865476))),
+            ("mse_sweep.reduced_radius", {"mse_sweep": {"reduced_radius": 0.3}},
+             lambda: check_connected(reduced_mask(build_geometry(4, 25), 0.3))),
+            ("reduced_set.radius", {"experiment": "reduced-set", "reduced_set": {"radius": 0.3}},
+             lambda: check_connected(reduced_mask(build_geometry(4, 25), 0.3))),
             ("wideband.n_subcarriers", {"experiment": "wideband", "wideband": {"n_subcarriers": 20}},
              lambda: ks_critical(20, 0.05)),
             ("wideband.ks_alpha", {"experiment": "wideband", "wideband": {"ks_alpha": 1.5}},
@@ -572,6 +582,35 @@ class TestRunners:
             )
             assert float(r["delta_db"]) >= -1e-9
 
+    @pytest.mark.parametrize(
+        "experiment, csv_name, section, key, make_section",
+        [
+            ("crlb-map", "crlb_map.csv", "crlb_map", "n0_grid_db", lambda: CrlbMapSection(n0_grid_db=[-60])),
+            ("convergence", "convergence.csv", "estimator", "epsilon_grid",
+             lambda: EstimatorSection(epsilon_grid=[0, 0.1])),
+        ],
+        ids=["crlb-map", "convergence"],
+    )
+    def test_integers_configure_as_floats_however_built(self, tmp_path, experiment, csv_name, section, key, make_section):
+        # an integer in a number key configures the run its float does, read
+        # from JSON or set in Python: same CSV bytes, same config echo
+        built = make_section()  # validate() writes the widened floats back into it
+        common = {"experiment": experiment, "seed": 5, "trials": 2}
+        grid = getattr(built, key)
+        configs = [
+            config_from_dict({**common, "array": TINY_ARRAY, "convergence": {"track_iterations": 4}, section: {key: g}})
+            for g in (grid, [float(v) for v in grid])
+        ]
+        configs.append(ExperimentConfig(**common, array=ArraySection(**TINY_ARRAY),
+                                        convergence=ConvergenceSection(track_iterations=4), **{section: built}))
+        outputs = []
+        for i, cfg in enumerate(configs):
+            out = tmp_path / str(i)
+            run_experiment(cfg, out)
+            echo = json.loads((out / "manifest.json").read_text())["config"]
+            outputs.append(((out / csv_name).read_bytes(), json.dumps(echo, sort_keys=True)))
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestSeeding:
     def test_random_frontend_shares_no_draw(self, tmp_path, monkeypatch):
@@ -698,101 +737,46 @@ class TestCli:
         payload = json.loads((out / "manifest.json").read_text())
         assert payload["master_seed"] == 9
 
-    def test_invalid_config_gives_error_json(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"trials": 0}))
-        result = self.run_cli("capacity", "--config", str(cfg))
-        assert result.returncode == 1
-        payload = json.loads(result.stderr)
-        assert payload["type"] == "ConfigError"
-        assert "trials" in payload["error"]
-
-    def test_owner_refusal_gives_error_json(self, tmp_path):
-        # a value refused by the library's own check, before any output is made
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"array": {"spacing": -0.5}}))
-        out = tmp_path / "out"
-        result = self.run_cli("mse-sweep", "--config", str(cfg), "--out", str(out))
-        assert result.returncode == 1
-        payload = json.loads(result.stderr)
-        assert payload["type"] == "ConfigError"
-        assert payload["error"] == "array.rows, array.cols, array.spacing: spacing must be positive, got -0.5"
-        assert not out.exists()
-
-    def test_wrong_json_type_gives_error_json(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"array": {"rows": "4"}}))
-        result = self.run_cli("mse-sweep", "--config", str(cfg))
-        assert result.returncode == 1
-        payload = json.loads(result.stderr)
-        assert payload["type"] == "ConfigError"
-        assert "array.rows" in payload["error"]
-
-    def test_non_finite_number_gives_error_json(self, tmp_path):
-        # Python's json reads the literal NaN; the config must refuse it
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"capacity": {"dl_noise_db": NaN}}')
-        out = tmp_path / "out"
-        result = self.run_cli("capacity", "--config", str(cfg), "--out", str(out))
-        assert result.returncode == 1
-        payload = json.loads(result.stderr)
-        assert payload["type"] == "ConfigError"
-        assert "capacity.dl_noise_db" in payload["error"]
-        assert not out.exists()
-
     @pytest.mark.parametrize(
-        "experiment, payload, field",
+        "experiment, text, args, error",
         [
-            ("capacity", {"capacity": {"cal_n0_db": 4000}}, "capacity.cal_n0_db"),
-            ("mse-sweep", {"mse_sweep": {"n0_grid_db": [3100.0]}}, "mse_sweep.n0_grid_db"),
+            ("capacity", json.dumps({"trials": 0}), [], "trials must be >= 1, got 0"),
+            # a value refused by the library's own check
+            ("mse-sweep", json.dumps({"array": {"spacing": -0.5}}), [],
+             "array.rows, array.cols, array.spacing: spacing must be positive, got -0.5"),
+            ("mse-sweep", json.dumps({"array": {"rows": "4"}}), [], "array.rows must be int, got '4'"),
+            # Python's json reads the literal NaN; the config must refuse it
+            ("capacity", '{"capacity": {"dl_noise_db": NaN}}', [],
+             "capacity.dl_noise_db must be dB (finite, at most about 3082), got nan"),
+            # 10 ** (dB / 10) overflows
+            ("capacity", json.dumps({"capacity": {"cal_n0_db": 4000}}), [],
+             "capacity.cal_n0_db must be dB (finite, at most about 3082), got 4000.0"),
+            ("mse-sweep", json.dumps({"mse_sweep": {"n0_grid_db": [3100.0]}}), [],
+             "mse_sweep.n0_grid_db must be non-empty list[dB (finite, at most about 3082)], got [3100.0]"),
+            ("wideband", json.dumps({"array": TINY_ARRAY, "wideband": {"n_subcarriers": 50, "phase_slope_max": 0.45}}),
+             [], "wideband.phase_slope_max must be below 0.25 cycles/subcarrier, got 0.45"),
+            ("wideband", json.dumps({"array": TINY_ARRAY, "wideband": {"n_subcarriers": 64, "n_fft": 128}}), [],
+             "wideband.n_fft: not a key of the schema"),
+            ("wideband", json.dumps({"array": TINY_ARRAY, "wideband": {"n_subcarriers": 10**400}}), [],
+             "wideband.n_subcarriers, wideband.ks_alpha: KS verdict needs a sample count within the float range, "
+             f"got {10**400}"),
+            # the default radius leaves no measured pair at this spacing:
+            # refused before the pool starts a trial
+            ("mse-sweep", json.dumps({"array": {"spacing": 1.0}}), ["--workers", "2"],
+             "mse_sweep.reduced_radius: mask contains no bidirectionally measured pair"),
         ],
+        ids=["trials", "owner-refusal", "wrong-json-type", "non-finite", "huge-db", "huge-db-list", "folding-phase-slope",
+             "removed-n-fft", "sample-count-past-float-range", "radius-without-pairs"],
     )
-    def test_huge_db_value_gives_error_json(self, tmp_path, experiment, payload, field):
-        # 10 ** (dB / 10) overflows: refused before any output directory is made
+    def test_refusal_gives_one_line_error_json(self, tmp_path, capsys, experiment, text, args, error):
+        # every refusal is one line of JSON led by its key, and no output directory is made
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(payload))
+        cfg.write_text(text)
         out = tmp_path / "out"
-        result = self.run_cli(experiment, "--config", str(cfg), "--out", str(out))
-        assert result.returncode == 1
-        payload = json.loads(result.stderr)
-        assert payload["type"] == "ConfigError"
-        assert field in payload["error"]
-        assert not out.exists()
-
-    def test_folding_phase_slope_gives_one_line_error_json(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"array": TINY_ARRAY, "wideband": {"n_subcarriers": 50, "phase_slope_max": 0.45}}))
-        out = tmp_path / "out"
-        result = self.run_cli("wideband", "--config", str(cfg), "--out", str(out))
-        assert result.returncode == 1
-        assert len(result.stderr.splitlines()) == 1
-        payload = json.loads(result.stderr)
-        assert payload["type"] == "ConfigError"
-        assert "phase_slope_max" in payload["error"]
-        assert not out.exists()
-
-    def test_removed_n_fft_key_gives_one_line_error_json(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"array": TINY_ARRAY, "wideband": {"n_subcarriers": 64, "n_fft": 128}}))
-        out = tmp_path / "out"
-        result = self.run_cli("wideband", "--config", str(cfg), "--out", str(out))
-        assert result.returncode == 1
-        assert len(result.stderr.splitlines()) == 1
-        payload = json.loads(result.stderr)
-        assert payload["type"] == "ConfigError"
-        assert payload["error"] == "wideband.n_fft: not a key of the schema"
-        assert not out.exists()
-
-    def test_sample_count_beyond_float_range_gives_one_line_error_json(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"array": TINY_ARRAY, "wideband": {"n_subcarriers": 10**400}}))
-        out = tmp_path / "out"
-        assert cli.main(["wideband", "--config", str(cfg), "--out", str(out)]) == 1
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(out), *args]) == 1
         stderr = capsys.readouterr().err
         assert len(stderr.splitlines()) == 1
-        payload = json.loads(stderr)
-        assert payload["type"] == "ConfigError"
-        assert payload["error"].startswith("wideband.n_subcarriers, ")
+        assert json.loads(stderr) == {"error": error, "type": "ConfigError"}
         assert not out.exists()
 
     def test_integer_and_float_json_write_same_bytes(self, tmp_path):
