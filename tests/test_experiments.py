@@ -263,6 +263,10 @@ class TestConfig:
              lambda: reduced_mask(build_geometry(4, 25), -0.5)),
             ("reduced_set.radius", {"experiment": "reduced-set", "reduced_set": {"radius": -0.5}},
              lambda: reduced_mask(build_geometry(4, 25), -0.5)),
+            ("wideband.n_subcarriers", {"experiment": "wideband", "wideband": {"n_subcarriers": 20}},
+             lambda: ks_critical(20, 0.05)),
+            ("wideband.ks_alpha", {"experiment": "wideband", "wideband": {"ks_alpha": 1.5}},
+             lambda: ks_critical(1200, 1.5)),
             # radii that leave no measured pair: the bound's own connectivity check
             ("mse_sweep.reduced_radius", {"array": {"spacing": 1.0}},
              lambda: check_connected(reduced_mask(build_geometry(4, 25, 1.0), 0.7071067811865476))),
@@ -270,10 +274,6 @@ class TestConfig:
              lambda: check_connected(reduced_mask(build_geometry(4, 25), 0.3))),
             ("reduced_set.radius", {"experiment": "reduced-set", "reduced_set": {"radius": 0.3}},
              lambda: check_connected(reduced_mask(build_geometry(4, 25), 0.3))),
-            ("wideband.n_subcarriers", {"experiment": "wideband", "wideband": {"n_subcarriers": 20}},
-             lambda: ks_critical(20, 0.05)),
-            ("wideband.ks_alpha", {"experiment": "wideband", "wideband": {"ks_alpha": 1.5}},
-             lambda: ks_critical(1200, 1.5)),
         ],
     )
     def test_owner_check_refuses_value(self, key, payload, owner):
