@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .config import EXPERIMENTS, ExperimentConfig, default_config, load_config
+from .config import EXPERIMENTS, ExperimentConfig, config_from_dict, load_config
 from .experiments import run_experiment
 
 
@@ -39,19 +39,12 @@ def _draw_count(config: ExperimentConfig) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # the overrides join the payload, so the config is checked as it runs
+    given = {"experiment": args.experiment, "seed": args.seed, "trials": args.trials, "out_dir": args.out,
+             "workers": args.workers}
+    overrides = {key: value for key, value in given.items() if value is not None}
     try:
-        if args.config is not None:
-            config = load_config(args.config, experiment=args.experiment)
-        else:
-            config = default_config(args.experiment)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.trials is not None:
-            config.trials = args.trials
-        if args.out is not None:
-            config.out_dir = args.out
-        if args.workers is not None:
-            config.workers = args.workers
+        config = load_config(args.config, overrides) if args.config is not None else config_from_dict(overrides)
         manifest = run_experiment(config)
     except (OSError, ValueError, RuntimeError) as exc:  # ConfigError is a ValueError
         json.dump({"error": str(exc), "type": type(exc).__name__}, sys.stderr)

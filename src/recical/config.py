@@ -5,9 +5,12 @@ repeat across keys: ``Literal`` names, ``Db`` powers (the linear value must
 fit a float) and non-empty lists.  ``validate`` widens integers in number
 positions to floats and checks the schema on the config object, every
 section, then the owned and relational rules of the shared sections and of
-the experiment that runs.  The checks read the annotations from
-``dataclasses.fields``, so this module keeps them live objects: it does not
-import ``annotations`` from ``__future__``.
+the experiment that runs.  It returns what those checks built: the array's
+geometry and the running experiment's reduced mask (None where it has no
+radius), which the run then uses in place of building them again.  The
+checks read the annotations from ``dataclasses.fields``, so this module
+keeps them live objects: it does not import ``annotations`` from
+``__future__``.
 
 Antenna numbers in configuration files and CSV outputs are 1-based
 (row-major over the grid, matching the usual array-hardware numbering);
@@ -27,6 +30,8 @@ import types
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Literal, NewType, get_args, get_origin
+
+import numpy as np
 
 from .downlink import VARIANTS
 from .estimators import REF_ONE, UNIT_NORM, EmSettings
@@ -58,10 +63,10 @@ class ConfigError(ValueError):
     """A configuration file failed validation."""
 
 
-def _owned(keys: str, check: Callable[..., Any], *args: Any) -> None:
-    """Call ``check``, the code that owns the values of ``keys``; its refusal becomes a ConfigError led by ``keys``."""
+def _owned(keys: str, check: Callable[..., Any], *args: Any) -> Any:
+    """``check(*args)``, from the code that owns the values of ``keys``; its refusal becomes a ConfigError led by ``keys``."""
     try:
-        check(*args)
+        return check(*args)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{keys}: {exc}") from exc
 
@@ -71,6 +76,13 @@ def _at_least(key: str, value: float, low: float) -> None:
         raise ConfigError(f"{key} must be >= {low}, got {value}")
 
 
+def _connected_mask(key: str, geometry: ArrayGeometry, radius: float) -> np.ndarray:
+    """The pairs within ``radius``, checked as the bound checks its mask; refused under ``key``."""
+    mask = _owned(key, reduced_mask, geometry, radius)
+    _owned(key, check_connected, mask)
+    return mask
+
+
 @dataclass
 class ArraySection:
     rows: int = 4
@@ -78,10 +90,11 @@ class ArraySection:
     spacing: float = 0.5
     ref: int = 38  # 1-based antenna number
 
-    def validate(self) -> None:
-        _owned("array.rows, array.cols, array.spacing", self.geometry)
+    def validate(self) -> ArrayGeometry:
+        geometry = _owned("array.rows, array.cols, array.spacing", build_geometry, self.rows, self.cols, self.spacing)
         if not (1 <= self.ref <= self.n_antennas):
             raise ConfigError(f"array.ref must be a reference antenna in 1..{self.n_antennas}, got {self.ref}")
+        return geometry
 
     @property
     def n_antennas(self) -> int:
@@ -90,9 +103,6 @@ class ArraySection:
     @property
     def ref_index(self) -> int:
         return self.ref - 1
-
-    def geometry(self) -> ArrayGeometry:
-        return build_geometry(self.rows, self.cols, self.spacing)
 
 
 @dataclass
@@ -135,13 +145,13 @@ class MseSweepSection:
     antennas: list[int] = field(default_factory=lambda: [1, 39])  # 1-based
     reduced_radius: float = 0.7071067811865476
 
-    def validate(self, array: ArraySection) -> None:
+    def validate(self, array: ArraySection, geometry: ArrayGeometry) -> np.ndarray:
         for a in self.antennas:
             if not (1 <= a <= array.n_antennas):
                 raise ConfigError(f"mse_sweep.antennas: tracked antenna {a} outside 1..{array.n_antennas}")
             if a == array.ref:
                 raise ConfigError(f"mse_sweep.antennas: tracked antenna {a} is the reference, whose coefficient is pinned to one")
-        _owned("mse_sweep.reduced_radius", lambda: check_connected(reduced_mask(array.geometry(), self.reduced_radius)))
+        return _connected_mask("mse_sweep.reduced_radius", geometry, self.reduced_radius)
 
 
 @dataclass
@@ -149,7 +159,7 @@ class ConvergenceSection:
     n0_db: Db = -40.0
     track_iterations: int = 50
 
-    def validate(self, array: ArraySection) -> None:
+    def validate(self, array: ArraySection, geometry: ArrayGeometry) -> None:
         _at_least("convergence.track_iterations", self.track_iterations, 1)
 
 
@@ -162,7 +172,7 @@ class CapacitySection:
     gmm_constraint: Literal[GMM_CONSTRAINTS] = UNIT_NORM
     reciprocal_users: bool = True
 
-    def validate(self, array: ArraySection) -> None:
+    def validate(self, array: ArraySection, geometry: ArrayGeometry) -> None:
         if not (1 <= self.n_users <= array.n_antennas):
             raise ConfigError(f"capacity.n_users must be in 1..{array.n_antennas}, got {self.n_users}")
 
@@ -177,7 +187,7 @@ class WidebandSection:
     phase_slope_max: float = 1e-4
     ks_alpha: float = 0.05
 
-    def validate(self, array: ArraySection) -> None:
+    def validate(self, array: ArraySection, geometry: ArrayGeometry) -> None:
         # each antenna's residual over the subcarriers feeds one KS test
         _owned("wideband.n_subcarriers, wideband.ks_alpha", ks_critical, self.n_subcarriers, self.ks_alpha)
         _at_least("wideband.realizations", self.realizations, 2)
@@ -195,7 +205,7 @@ class WidebandSection:
 class CrlbMapSection:
     n0_grid_db: list[Db] = field(default_factory=lambda: [-80.0, -60.0, -40.0])
 
-    def validate(self, array: ArraySection) -> None:
+    def validate(self, array: ArraySection, geometry: ArrayGeometry) -> None:
         """Nothing beyond the schema: the grid's rules are all declared by its annotation."""
 
 
@@ -204,8 +214,8 @@ class ReducedSetSection:
     n0_db: Db = -80.0
     radius: float = 0.7071067811865476
 
-    def validate(self, array: ArraySection) -> None:
-        _owned("reduced_set.radius", lambda: check_connected(reduced_mask(array.geometry(), self.radius)))
+    def validate(self, array: ArraySection, geometry: ArrayGeometry) -> np.ndarray:
+        return _connected_mask("reduced_set.radius", geometry, self.radius)
 
 
 @dataclass
@@ -226,18 +236,19 @@ class ExperimentConfig:
     crlb_map: CrlbMapSection = field(default_factory=CrlbMapSection)
     reduced_set: ReducedSetSection = field(default_factory=ReducedSetSection)
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[ArrayGeometry, np.ndarray | None]:
+        """Check every rule; the geometry and the running experiment's reduced mask (None without a radius) it built."""
         _check_schema(self)
         _at_least("seed", self.seed, 0)
         _at_least("trials", self.trials, 1)
         _at_least("workers", self.workers, 1)
-        self.array.validate()
+        geometry = self.array.validate()
         self.frontend.validate()
         self.estimator.validate()
         # only the active experiment's section, named after it, is validated
         # beyond the schema, so defaults for the 4x25 array do not block
         # other experiments on smaller arrays
-        getattr(self, self.experiment.replace("-", "_")).validate(self.array)
+        return geometry, getattr(self, self.experiment.replace("-", "_")).validate(self.array, geometry)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -321,19 +332,12 @@ def config_from_dict(payload: Any) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str | Path, experiment: str | None = None) -> ExperimentConfig:
-    """Load and validate a JSON configuration file; ``experiment`` replaces the one it names."""
+def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
+    """Load and validate a JSON configuration file; the top-level keys in ``overrides`` replace the file's."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if experiment is not None and isinstance(payload, dict):
-        payload = {**payload, "experiment": experiment}
+    if overrides and isinstance(payload, dict):
+        payload = {**payload, **overrides}
     return config_from_dict(payload)
-
-
-def default_config(experiment: str = "mse-sweep") -> ExperimentConfig:
-    """The documented default configuration for one experiment kind."""
-    cfg = ExperimentConfig(experiment=experiment)
-    cfg.validate()
-    return cfg

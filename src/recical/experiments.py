@@ -7,9 +7,11 @@ Every experiment derives one stream per trial from the triple
 from its own child of the shared sequence, so it never reuses the coupling
 or kernel draws.
 
-Each runner maps a config to its tables, ``{csv name: (header, rows)}``.
-:func:`run_experiment` makes the output directory and writes the tables and
-the manifest only after the whole computation has succeeded, so a run that
+Each runner maps a config, with the geometry and reduced mask that its
+validation built, to its tables, ``{csv name: (header, rows)}``.
+:func:`run_experiment` validates the config once, hands what that built to
+the runner, and makes the output directory and writes the tables and the
+manifest only after the whole computation has succeeded, so a run that
 raises leaves nothing behind.
 
 A run opens at most one worker pool, and every task mapped over it is one
@@ -47,7 +49,7 @@ from .crlb import CrlbInputs, CrlbReport, crlb_coefficients
 from .downlink import EM_VARIANT, GMM_VARIANT, PERFECT, PRECODERS, TRUE_CSI, UNCALIBRATED, draw_scenario, variant_sum_rates
 from .estimators import EmSettings, em_calibrate, em_iterates, gmm_estimate, score_mse
 from .frontend import FrontEnd, deterministic_frontend, random_frontend, true_coefficients
-from .geometry import ArrayGeometry, CouplingModel, draw_channel, draw_complex_normal, draw_coupling, full_mask, reduced_mask
+from .geometry import ArrayGeometry, CouplingModel, draw_channel, draw_complex_normal, draw_coupling, full_mask
 from .sounding import sound
 from .wideband import (
     WidebandParams,
@@ -121,10 +123,9 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def build_setup(config: ExperimentConfig) -> tuple[ArrayGeometry, CouplingModel, FrontEnd]:
-    """Geometry, coupling model, and front-end described by a config."""
+def build_setup(config: ExperimentConfig, geom: ArrayGeometry) -> tuple[CouplingModel, FrontEnd]:
+    """Coupling model and front-end described by a config, on the geometry its validation built."""
     arr = config.array
-    geom = arr.geometry()
     cpl = config.coupling
     model = CouplingModel(
         cpl.co_slope_db,
@@ -142,7 +143,7 @@ def build_setup(config: ExperimentConfig) -> tuple[ArrayGeometry, CouplingModel,
             config.frontend.spread,
             frontend_rng(config.seed, config.experiment),
         )
-    return geom, model, fe
+    return model, fe
 
 
 def _em_settings(config: ExperimentConfig) -> EmSettings:
@@ -276,9 +277,9 @@ class _TrialContext:
         return crlb_coefficients(CrlbInputs(self.frontend, self.coupling_mean, self.model.sigma2, n0, mask))
 
 
-def _context(config: ExperimentConfig) -> _TrialContext:
-    """The set-up, built once per run, with the coupling mean drawn from the shared stream."""
-    geom, model, fe = build_setup(config)
+def _context(config: ExperimentConfig, geom: ArrayGeometry) -> _TrialContext:
+    """The run's one set-up on its validated geometry, with the coupling mean drawn from the shared stream."""
+    model, fe = build_setup(config, geom)
     hbar = draw_coupling(geom, model, shared_rng(config.seed, config.experiment))
     return _TrialContext(config, geom, model, fe, hbar)
 
@@ -294,14 +295,13 @@ def _mse_trial(t: int) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def run_mse_sweep(config: ExperimentConfig) -> Tables:
+def run_mse_sweep(config: ExperimentConfig, geom: ArrayGeometry, rmask: np.ndarray) -> Tables:
     """Per-antenna MSE of both estimators against the bound over a noise grid."""
-    ctx = _context(config)
-    geom, fe = ctx.geometry, ctx.frontend
+    ctx = _context(config, geom)
+    fe = ctx.frontend
     c_true = true_coefficients(fe)
     ref = fe.ref
     mask = full_mask(geom.n_antennas)
-    rmask = reduced_mask(geom, config.mse_sweep.reduced_radius)
     n0s = [db_to_linear(n0_db) for n0_db in config.mse_sweep.n0_grid_db]
     with _trials(_mse_trial, ctx, config.trials) as results:
         # the parent computes the bounds while the pool's workers run the trials
@@ -348,9 +348,9 @@ def _convergence_trial(t: int) -> list[np.ndarray]:
     return results
 
 
-def run_convergence(config: ExperimentConfig) -> Tables:
+def run_convergence(config: ExperimentConfig, geom: ArrayGeometry, rmask: None) -> Tables:
     """Per-iteration MSE and step size of the EM run for each regularization."""
-    per_epsilon = zip(*_run_trials(_convergence_trial, _context(config), config.trials))
+    per_epsilon = zip(*_run_trials(_convergence_trial, _context(config, geom), config.trials))
     rows = []
     for eps, results in zip(config.estimator.epsilon_grid, per_epsilon):
         # summed in trial order, so the bytes do not depend on the schedule
@@ -387,10 +387,10 @@ def _capacity_trial(t: int) -> dict[str, dict[str, float]]:
     return variant_sum_rates(scenario, {v: coefficients[v] for v in cap.variants})
 
 
-def run_capacity(config: ExperimentConfig) -> Tables:
+def run_capacity(config: ExperimentConfig, geom: ArrayGeometry, rmask: None) -> Tables:
     """Sum-rate samples per calibration variant and precoder."""
     cap = config.capacity
-    results = _run_trials(_capacity_trial, _context(config), config.trials)
+    results = _run_trials(_capacity_trial, _context(config, geom), config.trials)
     rows = [
         (variant, precoder, t, rates[variant][precoder])
         for variant in cap.variants
@@ -409,9 +409,9 @@ def _wideband_realization(r: int) -> np.ndarray:
     )
 
 
-def run_wideband(config: ExperimentConfig) -> Tables:
+def run_wideband(config: ExperimentConfig, geom: ArrayGeometry, rmask: None) -> Tables:
     """Subcarrier-process study: PCA spectra, kernel fits, residual KS tests."""
-    geom, model, fe = build_setup(config)
+    model, fe = build_setup(config, geom)
     wb = config.wideband
     params = WidebandParams(tuple(wb.offset_range), wb.mag_slope_max, wb.phase_slope_max)
     truths = synth_wideband(geom.n_antennas, wb.n_subcarriers, params, wb.realizations, shared_rng(config.seed, config.experiment))
@@ -442,10 +442,10 @@ def run_wideband(config: ExperimentConfig) -> Tables:
     }
 
 
-def run_crlb_map(config: ExperimentConfig) -> Tables:
+def run_crlb_map(config: ExperimentConfig, geom: ArrayGeometry, rmask: None) -> Tables:
     """Per-antenna bound across the noise grid (full measurement set)."""
-    ctx = _context(config)
-    geom, fe = ctx.geometry, ctx.frontend
+    ctx = _context(config, geom)
+    fe = ctx.frontend
     mask = full_mask(geom.n_antennas)
     rows = []
     for n0_db in config.crlb_map.n0_grid_db:
@@ -457,13 +457,13 @@ def run_crlb_map(config: ExperimentConfig) -> Tables:
     return {"crlb_map.csv": (["n0_db", "antenna", "crlb_db", "fim_condition"], rows)}
 
 
-def run_reduced_set(config: ExperimentConfig) -> Tables:
+def run_reduced_set(config: ExperimentConfig, geom: ArrayGeometry, rmask: np.ndarray) -> Tables:
     """Bound inflation when only short-range pairs are measured."""
-    ctx = _context(config)
-    geom, fe = ctx.geometry, ctx.frontend
+    ctx = _context(config, geom)
+    fe = ctx.frontend
     n0 = db_to_linear(config.reduced_set.n0_db)
     full = ctx.bound(n0, full_mask(geom.n_antennas)).bound
-    reduced = ctx.bound(n0, reduced_mask(geom, config.reduced_set.radius)).bound
+    reduced = ctx.bound(n0, rmask).bound
     rows = []
     for m in range(geom.n_antennas):
         if m == fe.ref:
@@ -488,11 +488,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     Nothing is written, not even the output directory, until the whole
     computation has succeeded, so a run that raises leaves nothing behind.
     """
-    config.validate()
+    checked = config.validate()
     out = Path(out_dir if out_dir is not None else config.out_dir)
     start = time.perf_counter()
     allocator = set_allocator_thresholds()
-    tables = _RUNNERS[config.experiment](config)
+    tables = _RUNNERS[config.experiment](config, *checked)
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         write_csv(out / name, header, rows)

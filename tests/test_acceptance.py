@@ -211,7 +211,7 @@ def test_06_capacity_ordering():
         "experiment": "capacity", "seed": 600, "trials": 1000,
         "capacity": {"n_users": 10, "cal_n0_db": -40.0, "variants": list(variants)},
     })
-    (_, rows), = run_capacity(config).values()
+    (_, rows), = run_capacity(config, *config.validate()).values()
     zf = {v: np.array([rate for variant, precoder, _, rate in rows if (variant, precoder) == (v, "zf")])
           for v in variants}
     deciles = np.arange(0.1, 1.0, 0.1)

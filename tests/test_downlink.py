@@ -162,7 +162,7 @@ class TestCapacityExperiment:
             "experiment": "capacity", "seed": 3, "trials": 500,
             "capacity": {"n_users": 10, "cal_n0_db": -120.0, "variants": ["gmm", "em", "perfect"]},
         })
-        (_, rows), = run_capacity(config).values()
+        (_, rows), = run_capacity(config, *config.validate()).values()
 
         def zf_rates(variant):
             return np.sort([rate for v, precoder, _, rate in rows if (v, precoder) == (variant, "zf")])

@@ -4,10 +4,12 @@ import csv
 import importlib
 import json
 import math
+import multiprocessing
 import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recical import cli, experiments
+from recical import config as config_module
 from recical.config import (
     EXPERIMENT_IDS, ArraySection, ConfigError, ConvergenceSection, CrlbMapSection, EstimatorSection,
-    ExperimentConfig, config_from_dict, default_config, load_config,
+    ExperimentConfig, config_from_dict, load_config,
 )
 from recical.estimators import EmSettings
 from recical.experiments import run_experiment
@@ -69,7 +72,7 @@ GOLDEN_REL_TOL = {
 class TestConfig:
     def test_defaults_are_valid_for_every_experiment(self):
         for experiment in ("mse-sweep", "convergence", "capacity", "wideband", "crlb-map", "reduced-set"):
-            default_config(experiment).validate()
+            config_from_dict({"experiment": experiment}).validate()
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match=r"^typo: not a key of the schema$"):
@@ -204,8 +207,8 @@ class TestConfig:
         ],
     )
     def test_python_built_config_checked_by_validate(self, tmp_path, section, key, value):
-        # a config changed in Python, as the CLI's overrides change one, meets
-        # the schema that JSON meets, and a run refuses it before any output
+        # a config changed in Python after it was loaded meets the schema
+        # that JSON meets, and a run refuses it before any output
         cfg = tiny_mse_config(tmp_path / "out")
         setattr(cfg if section is None else getattr(cfg, section), key, value)
         name = key if section is None else f"{section}.{key}"
@@ -582,6 +585,71 @@ class TestRunners:
             )
             assert float(r["delta_db"]) >= -1e-9
 
+    @pytest.mark.parametrize("experiment", list(EXPERIMENT_IDS))
+    def test_one_setup_per_validation(self, tmp_path, monkeypatch, capsys, experiment):
+        # a validation builds the geometry once and each radius's mask once,
+        # and the run uses what its validation built in place of building them again
+        overrides = {
+            "mse-sweep": {"trials": 2, "mse_sweep": {"n0_grid_db": [-60.0], "antennas": [1, 2]}},
+            "convergence": {"trials": 1, "estimator": {"epsilon_grid": [0.1]}, "convergence": {"track_iterations": 3}},
+            "capacity": {"trials": 1, "capacity": {"n_users": 2}},
+            "wideband": TINY_WIDEBAND,
+            "crlb-map": {"crlb_map": {"n0_grid_db": [-60.0]}},
+            "reduced-set": {},
+        }[experiment]
+        radii = int(experiment in ("mse-sweep", "reduced-set"))
+        calls = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("build_geometry", "reduced_mask", "check_connected"):
+            count(config_module, name)
+        count(ExperimentConfig, "validate")
+        assert not hasattr(experiments, "reduced_mask") and not hasattr(experiments, "build_geometry")
+        once = Counter(validate=1, build_geometry=1, reduced_mask=radii, check_connected=radii)
+
+        payload = {"experiment": experiment, "seed": 3, "array": TINY_ARRAY, **overrides}
+        cfg = config_from_dict({**payload, "out_dir": str(tmp_path / "library")})
+        assert calls == once
+        calls.clear()
+        run_experiment(cfg)
+        assert calls == once
+        calls.clear()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        # the CLI's config_from_dict refuses a payload, run_experiment a config built in Python
+        assert cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "cli")]) == 0, capsys.readouterr().err
+        assert calls == once + once
+
+    @pytest.mark.parametrize(
+        "method", [method for method in ("spawn", "forkserver") if method in multiprocessing.get_all_start_methods()]
+    )
+    def test_start_method_keeps_bytes(self, tmp_path, method):
+        # pool workers started afresh get the run's context pickled; a pooled
+        # golden run in a child under that start method writes the bytes of a
+        # one-worker run in this process
+        payload = json.loads((GOLDEN_DIR / "mse-sweep" / "config.json").read_text())
+        serial, pooled = tmp_path / "serial", tmp_path / method
+        run_experiment(config_from_dict({**payload, "workers": 1, "out_dir": str(serial)}))
+        child = (
+            "import json, multiprocessing, sys\n"
+            "from recical.config import config_from_dict\n"
+            "from recical.experiments import run_experiment\n"
+            "multiprocessing.set_start_method(sys.argv[1], force=True)\n"
+            "run_experiment(config_from_dict(json.loads(sys.argv[2])))\n"
+        )
+        config = json.dumps({**payload, "workers": 2, "out_dir": str(pooled)})
+        result = subprocess.run([sys.executable, "-c", child, method, config], capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert (pooled / "mse_sweep.csv").read_bytes() == (serial / "mse_sweep.csv").read_bytes()
+
     @pytest.mark.parametrize(
         "experiment, csv_name, section, key, make_section",
         [
@@ -681,7 +749,7 @@ class TestSeeding:
         config = config_from_dict({"experiment": "convergence", "seed": seed,
                                    "array": {"rows": 2, "cols": cols, "ref": 1},
                                    "frontend": {"kind": "random", "spread": spread}})
-        ctx = experiments._context(config)
+        ctx = experiments._context(config, config.validate()[0])
         n0s = [10.0 ** (db / 10.0) for db in levels_db]
         stream = ctx.trial_stream(trial)
         for n0, data in zip(n0s, ctx.soundings(n0s, stream), strict=True):
@@ -695,44 +763,52 @@ class TestSeeding:
 
 class TestCli:
     def run_cli(self, *args):
+        """``recical ARGS`` in a fresh interpreter, through the module's entry point."""
         return subprocess.run(
             [sys.executable, "-m", "recical.cli", *args],
             capture_output=True,
             text=True,
         )
 
-    def test_experiment_runs_and_reports(self, tmp_path):
+    @staticmethod
+    def run_main(capsys, *args):
+        """``recical ARGS`` in this process: its exit code and what it printed, as ``run_cli`` reports them."""
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return types.SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+    def test_experiment_runs_and_reports(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "seed": 3, "trials": 2,
             "mse_sweep": {"n0_grid_db": [-80.0], "antennas": [1, 39]},
         }))
         out = tmp_path / "out"
-        result = self.run_cli("mse-sweep", "--config", str(cfg), "--out", str(out))
+        result = self.run_main(capsys, "mse-sweep", "--config", str(cfg), "--out", str(out))
         assert result.returncode == 0, result.stderr
         assert (out / "mse_sweep.csv").exists()
         assert (out / "manifest.json").exists()
         assert "mse_sweep.csv" in result.stdout
         assert result.stdout.rstrip().endswith("(seed 3, 2 trials)")
 
-    def test_bound_only_run_reports_no_trials(self, tmp_path):
+    def test_bound_only_run_reports_no_trials(self, tmp_path, capsys):
         # crlb-map draws only the coupling phases; config.trials plays no part
         out = tmp_path / "out"
-        result = self.run_cli("crlb-map", "--trials", "7", "--out", str(out))
+        result = self.run_main(capsys, "crlb-map", "--trials", "7", "--out", str(out))
         assert result.returncode == 0, result.stderr
         assert result.stdout.rstrip().endswith("(seed 12345)")
 
-    def test_wideband_run_reports_realizations(self, tmp_path):
+    def test_wideband_run_reports_realizations(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"array": TINY_ARRAY, "wideband": {"n_subcarriers": 50, "realizations": 2}}))
         out = tmp_path / "out"
-        result = self.run_cli("wideband", "--config", str(cfg), "--out", str(out))
+        result = self.run_main(capsys, "wideband", "--config", str(cfg), "--out", str(out))
         assert result.returncode == 0, result.stderr
         assert result.stdout.rstrip().endswith("(seed 12345, 2 realizations)")
 
-    def test_overrides_applied(self, tmp_path):
+    def test_overrides_applied(self, tmp_path, capsys):
         out = tmp_path / "o"
-        result = self.run_cli("reduced-set", "--seed", "9", "--out", str(out))
+        result = self.run_main(capsys, "reduced-set", "--seed", "9", "--out", str(out))
         assert result.returncode == 0, result.stderr
         payload = json.loads((out / "manifest.json").read_text())
         assert payload["master_seed"] == 9
@@ -764,9 +840,12 @@ class TestCli:
             # refused before the pool starts a trial
             ("mse-sweep", json.dumps({"array": {"spacing": 1.0}}), ["--workers", "2"],
              "mse_sweep.reduced_radius: mask contains no bidirectionally measured pair"),
+            # refused command-line overrides
+            ("mse-sweep", json.dumps({}), ["--workers", "0"], "workers must be >= 1, got 0"),
+            ("crlb-map", json.dumps({}), ["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
         ids=["trials", "owner-refusal", "wrong-json-type", "non-finite", "huge-db", "huge-db-list", "folding-phase-slope",
-             "removed-n-fft", "sample-count-past-float-range", "radius-without-pairs"],
+             "removed-n-fft", "sample-count-past-float-range", "radius-without-pairs", "workers-override", "seed-override"],
     )
     def test_refusal_gives_one_line_error_json(self, tmp_path, capsys, experiment, text, args, error):
         # every refusal is one line of JSON led by its key, and no output directory is made
@@ -779,7 +858,7 @@ class TestCli:
         assert json.loads(stderr) == {"error": error, "type": "ConfigError"}
         assert not out.exists()
 
-    def test_integer_and_float_json_write_same_bytes(self, tmp_path):
+    def test_integer_and_float_json_write_same_bytes(self, tmp_path, capsys):
         # -60 and -60.0 configure the same run: same CSV bytes, same config echo
         out = tmp_path / "out"
         outputs = []
@@ -788,28 +867,28 @@ class TestCli:
             cfg.write_text(json.dumps(
                 {"experiment": "crlb-map", "array": {"rows": 2, "cols": 5, "ref": 3}, "crlb_map": {"n0_grid_db": grid}}
             ))
-            result = self.run_cli("crlb-map", "--config", str(cfg), "--out", str(out))
+            result = self.run_main(capsys, "crlb-map", "--config", str(cfg), "--out", str(out))
             assert result.returncode == 0, result.stderr
             echo = json.loads((out / "manifest.json").read_text())["config"]
             outputs.append(((out / "crlb_map.csv").read_bytes(), json.dumps(echo, sort_keys=True)))
         assert outputs[0] == outputs[1]
 
-    def test_positional_experiment_validates_the_file(self, tmp_path):
+    def test_positional_experiment_validates_the_file(self, tmp_path, capsys):
         # the file names no experiment; it must be checked as crlb-map, which
         # tracks no antenna, not as the default mse-sweep
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"array": {"rows": 2, "cols": 5, "ref": 3}}))
         out = tmp_path / "out"
-        result = self.run_cli("crlb-map", "--config", str(cfg), "--out", str(out))
+        result = self.run_main(capsys, "crlb-map", "--config", str(cfg), "--out", str(out))
         assert result.returncode == 0, result.stderr
         assert json.loads((out / "manifest.json").read_text())["experiment"] == "crlb-map"
 
-    def test_os_errors_give_error_json(self, tmp_path):
+    def test_os_errors_give_error_json(self, tmp_path, capsys):
         # a directory as --config, an existing file as --out
         taken = tmp_path / "taken"
         taken.write_text("")
         for args, error in ((["--config", str(tmp_path)], "IsADirectoryError"), (["--out", str(taken)], "FileExistsError")):
-            result = self.run_cli("reduced-set", *args)
+            result = self.run_main(capsys, "reduced-set", *args)
             assert result.returncode == 1, args
             assert json.loads(result.stderr)["type"] == error
 
