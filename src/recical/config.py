@@ -92,13 +92,11 @@ class ArraySection:
 
     def validate(self) -> ArrayGeometry:
         geometry = _owned("array.rows, array.cols, array.spacing", build_geometry, self.rows, self.cols, self.spacing)
-        if not (1 <= self.ref <= self.n_antennas):
-            raise ConfigError(f"array.ref must be a reference antenna in 1..{self.n_antennas}, got {self.ref}")
+        if not (1 <= self.ref <= geometry.n_antennas):
+            raise ConfigError(f"array.ref must be a reference antenna in 1..{geometry.n_antennas}, got {self.ref}")
+        if geometry.n_antennas < 2:
+            raise ConfigError(f"array.rows, array.cols must be a grid of at least 2 antennas, got {self.rows}x{self.cols}")
         return geometry
-
-    @property
-    def n_antennas(self) -> int:
-        return self.rows * self.cols
 
     @property
     def ref_index(self) -> int:
@@ -147,8 +145,8 @@ class MseSweepSection:
 
     def validate(self, array: ArraySection, geometry: ArrayGeometry) -> np.ndarray:
         for a in self.antennas:
-            if not (1 <= a <= array.n_antennas):
-                raise ConfigError(f"mse_sweep.antennas: tracked antenna {a} outside 1..{array.n_antennas}")
+            if not (1 <= a <= geometry.n_antennas):
+                raise ConfigError(f"mse_sweep.antennas: tracked antenna {a} outside 1..{geometry.n_antennas}")
             if a == array.ref:
                 raise ConfigError(f"mse_sweep.antennas: tracked antenna {a} is the reference, whose coefficient is pinned to one")
         return _connected_mask("mse_sweep.reduced_radius", geometry, self.reduced_radius)
@@ -173,8 +171,8 @@ class CapacitySection:
     reciprocal_users: bool = True
 
     def validate(self, array: ArraySection, geometry: ArrayGeometry) -> None:
-        if not (1 <= self.n_users <= array.n_antennas):
-            raise ConfigError(f"capacity.n_users must be in 1..{array.n_antennas}, got {self.n_users}")
+        if not (1 <= self.n_users <= geometry.n_antennas):
+            raise ConfigError(f"capacity.n_users must be in 1..{geometry.n_antennas}, got {self.n_users}")
 
 
 @dataclass

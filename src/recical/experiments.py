@@ -410,7 +410,10 @@ def _wideband_realization(r: int) -> np.ndarray:
 
 
 def run_wideband(config: ExperimentConfig, geom: ArrayGeometry, rmask: None) -> Tables:
-    """Subcarrier-process study: PCA spectra, kernel fits, residual KS tests."""
+    """Subcarrier-process study: PCA spectra, kernel fits, residual KS tests.
+
+    Reads no front-end from the config: each subcarrier's front-end realizes a truth column; ``fe`` gives only ``ref``.
+    """
     model, fe = build_setup(config, geom)
     wb = config.wideband
     params = WidebandParams(tuple(wb.offset_range), wb.mag_slope_max, wb.phase_slope_max)
@@ -445,13 +448,12 @@ def run_wideband(config: ExperimentConfig, geom: ArrayGeometry, rmask: None) -> 
 def run_crlb_map(config: ExperimentConfig, geom: ArrayGeometry, rmask: None) -> Tables:
     """Per-antenna bound across the noise grid (full measurement set)."""
     ctx = _context(config, geom)
-    fe = ctx.frontend
     mask = full_mask(geom.n_antennas)
     rows = []
     for n0_db in config.crlb_map.n0_grid_db:
         report = ctx.bound(db_to_linear(n0_db), mask)
         for m in range(geom.n_antennas):
-            if m == fe.ref:
+            if m == ctx.frontend.ref:
                 continue
             rows.append((n0_db, m + 1, _db(report.bound[m]), report.fim_condition))
     return {"crlb_map.csv": (["n0_db", "antenna", "crlb_db", "fim_condition"], rows)}
@@ -460,13 +462,12 @@ def run_crlb_map(config: ExperimentConfig, geom: ArrayGeometry, rmask: None) -> 
 def run_reduced_set(config: ExperimentConfig, geom: ArrayGeometry, rmask: np.ndarray) -> Tables:
     """Bound inflation when only short-range pairs are measured."""
     ctx = _context(config, geom)
-    fe = ctx.frontend
     n0 = db_to_linear(config.reduced_set.n0_db)
     full = ctx.bound(n0, full_mask(geom.n_antennas)).bound
     reduced = ctx.bound(n0, rmask).bound
     rows = []
     for m in range(geom.n_antennas):
-        if m == fe.ref:
+        if m == ctx.frontend.ref:
             continue
         rows.append((m + 1, _db(full[m]), _db(reduced[m]), _db(reduced[m]) - _db(full[m])))
     return {"reduced_set.csv": (["antenna", "crlb_full_db", "crlb_reduced_db", "delta_db"], rows)}

@@ -28,27 +28,18 @@ _RADIUS_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Rectangular antenna grid with checkerboard polarization.
+    """Positions and checkerboard polarization labels of a rectangular grid, as :func:`build_geometry` lays them out.
 
     Adjacent elements (one grid step apart) carry opposite polarization
     labels, so nearest neighbours are always cross-polarized.
     """
 
-    rows: int
-    cols: int
-    spacing: float
     positions: np.ndarray     # (M, 2) coordinates in wavelengths
     polarization: np.ndarray  # (M,) 0/1 checkerboard labels
 
     @property
     def n_antennas(self) -> int:
-        return self.rows * self.cols
-
-    def index_of(self, row: int, col: int) -> int:
-        """Antenna index of the element at (row, col), all zero-based."""
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise IndexError(f"(row, col) = ({row}, {col}) outside {self.rows}x{self.cols} grid")
-        return self.cols * row + col
+        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -72,7 +63,7 @@ class CouplingModel:
 
 
 def build_geometry(rows: int, cols: int, spacing: float = 0.5) -> ArrayGeometry:
-    """Build a rows x cols planar array with the given spacing in wavelengths."""
+    """A rows x cols planar array, spacing in wavelengths: antenna ``cols * r + c`` sits at ``spacing * (c, r)``."""
     if rows < 1 or cols < 1:
         raise ValueError(f"array dimensions must be positive, got {rows}x{cols}")
     if not spacing > 0:
@@ -80,7 +71,7 @@ def build_geometry(rows: int, cols: int, spacing: float = 0.5) -> ArrayGeometry:
     r, c = np.divmod(np.arange(rows * cols), cols)
     positions = spacing * np.column_stack([c, r]).astype(float)
     polarization = ((r + c) % 2).astype(np.int8)
-    return ArrayGeometry(rows, cols, spacing, positions, polarization)
+    return ArrayGeometry(positions, polarization)
 
 
 def coupling_gain_db(model: CouplingModel, distance: float | np.ndarray, pol: str) -> float | np.ndarray:

@@ -184,6 +184,10 @@ class TestConfig:
             ({"experiment": "wideband", "wideband": {"offset_range": [0.9, 1.0, 1.1]}}, "wideband.offset_range",
              "[0.9, 1.0, 1.1]"),
             ({"experiment": "wideband", "wideband": {"mag_slope_max": -1}}, "wideband.mag_slope_max", "-1.0"),
+            # one antenna has no pair to sound: refused when loaded, for every experiment
+            ({"experiment": "crlb-map", "array": {"rows": 1, "cols": 1, "ref": 1}}, "array.rows, array.cols", "1x1"),
+            ({"experiment": "capacity", "array": {"rows": 1, "cols": 1, "ref": 1},
+              "capacity": {"n_users": 1, "variants": ["uncalibrated", "perfect"]}}, "array.rows, array.cols", "1x1"),
         ],
     )
     def test_refusal_names_key_and_value(self, payload, key, shown):
@@ -563,6 +567,20 @@ class TestRunners:
         assert {r["antenna"] for r in ks_rows} == {str(a) for a in range(1, 9) if a != 4}
         spectra = read_csv(tmp_path / "wideband_spectra.csv")
         assert max(int(r["component"]) for r in spectra) <= 10
+
+    def test_wideband_reads_no_frontend_from_config(self, tmp_path):
+        # each subcarrier's front-end realizes a column of the synthesized
+        # truths; the run's front-end gives only its reference index
+        outputs = []
+        for kind in ("deterministic", "random"):
+            cfg = config_from_dict(
+                {"experiment": "wideband", "seed": 3, "out_dir": str(tmp_path / kind),
+                 "array": {"rows": 2, "cols": 4, "ref": 4}, "frontend": {"kind": kind, "spread": 0.5},
+                 "wideband": {"n_subcarriers": 64, "realizations": 2}}
+            )
+            manifest = run_experiment(cfg)
+            outputs.append({name: (tmp_path / kind / name).read_bytes() for name in manifest.outputs})
+        assert outputs[0] == outputs[1]
 
     def test_crlb_map_and_reduced_set(self, tmp_path):
         cfg = config_from_dict(

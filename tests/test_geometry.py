@@ -20,15 +20,15 @@ class TestBuildGeometry:
     def test_row_major_index_map(self):
         geom = build_geometry(4, 25, 0.5)
         assert geom.n_antennas == 100
-        # the antenna in the second row, thirteenth column (zero-based 1, 12)
-        assert geom.index_of(1, 12) == 37
-        assert geom.index_of(0, 0) == 0
-        assert geom.index_of(3, 24) == 99
+        # antenna cols * r + c sits at spacing * (c, r); antenna 37 is in the
+        # second row, thirteenth column (zero-based 1, 12)
+        for m, (r, c) in ((37, (1, 12)), (0, (0, 0)), (99, (3, 24))):
+            assert tuple(geom.positions[m]) == (0.5 * c, 0.5 * r)
 
     def test_index_map_is_bijective(self):
-        geom = build_geometry(4, 25)
-        seen = {geom.index_of(r, c) for r in range(4) for c in range(25)}
-        assert seen == set(range(100))
+        geom = build_geometry(4, 25, 0.5)
+        expected = [(0.5 * c, 0.5 * r) for r in range(4) for c in range(25)]
+        assert [tuple(p) for p in geom.positions] == expected
 
     def test_adjacent_pair(self):
         dist, co = _pair_geometry(build_geometry(1, 2, 0.5))
@@ -48,11 +48,6 @@ class TestBuildGeometry:
     def test_bad_dimensions_rejected(self, rows, cols, spacing):
         with pytest.raises(ValueError):
             build_geometry(rows, cols, spacing)
-
-    def test_index_of_out_of_range(self):
-        geom = build_geometry(2, 3)
-        with pytest.raises(IndexError):
-            geom.index_of(2, 0)
 
 
 class TestPairDistancePolarization:
@@ -167,21 +162,15 @@ class TestReducedMask:
     def test_interior_antennas_have_eight_partners(self):
         mask = reduced_mask(self.geom, 1 / np.sqrt(2))
         counts = mask.sum(axis=1)
-        interior = [self.geom.index_of(r, c) for r in (1, 2) for c in range(1, 24)]
+        interior = [25 * r + c for r in (1, 2) for c in range(1, 24)]
         assert np.all(counts[interior] == 8)
         assert mask.sum() < 8 * 100
 
     def test_small_radius_keeps_grid_neighbors_only(self):
         mask = reduced_mask(self.geom, 0.5)
-        m = self.geom.index_of(2, 10)
-        partners = set(np.nonzero(mask[m])[0])
-        expected = {
-            self.geom.index_of(1, 10),
-            self.geom.index_of(3, 10),
-            self.geom.index_of(2, 9),
-            self.geom.index_of(2, 11),
-        }
-        assert partners == expected
+        # antenna 25 * r + c sits at row r, column c of the 4x25 grid
+        partners = set(np.nonzero(mask[25 * 2 + 10])[0])
+        assert partners == {25 * 1 + 10, 25 * 3 + 10, 25 * 2 + 9, 25 * 2 + 11}
 
     def test_infinite_radius_is_full_mask(self):
         mask = reduced_mask(self.geom, np.inf)
