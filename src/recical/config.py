@@ -35,7 +35,7 @@ import numpy as np
 
 from .downlink import VARIANTS
 from .estimators import REF_ONE, UNIT_NORM, EmSettings
-from .geometry import ArrayGeometry, build_geometry, check_connected, reduced_mask
+from .geometry import ArrayGeometry, build_geometry, connected_pairs, reduced_mask
 from .wideband import ks_critical
 
 # the ids are part of the seed contract: every random stream is derived from
@@ -78,9 +78,7 @@ def _at_least(key: str, value: float, low: float) -> None:
 
 def _connected_mask(key: str, geometry: ArrayGeometry, radius: float) -> np.ndarray:
     """The pairs within ``radius``, checked as the bound checks its mask; refused under ``key``."""
-    mask = _owned(key, reduced_mask, geometry, radius)
-    _owned(key, check_connected, mask)
-    return mask
+    return _owned(key, connected_pairs, _owned(key, reduced_mask, geometry, radius))
 
 
 @dataclass

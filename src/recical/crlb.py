@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .errors import IdentifiabilityError
 from .frontend import FrontEnd
-from .geometry import check_connected
+from .geometry import connected_pairs
 
 # local parameter order of the information block of one pair (n, m)
 PAIR_PARAMS = ("re_t_n", "im_t_n", "re_r_n", "im_r_n", "re_t_m", "im_t_m", "re_r_m", "im_r_m")
@@ -69,6 +69,10 @@ class CrlbInputs:
             )
         if not (self.sigma2 >= 0 and self.noise_var >= 0):
             raise ValueError("variances must be >= 0")
+        shape = (fe.n_antennas, fe.n_antennas)
+        for name, matrix in (("mask", self.mask), ("coupling_mean", self.coupling_mean)):
+            if np.shape(matrix) != shape:
+                raise ValueError(f"{name} shape {np.shape(matrix)} does not match the front-end's {shape}")
 
 
 @dataclass
@@ -184,10 +188,9 @@ def fisher_information(inputs: CrlbInputs) -> np.ndarray:
     """
     fe = inputs.frontend
     ref = fe.ref
-    pair_mask = inputs.mask & inputs.mask.T
     # an empty mask, or a component without the reference, leaves the FIM
     # singular, which the Cholesky factorisation may miss by rounding
-    check_connected(pair_mask)
+    pair_mask = connected_pairs(inputs.mask)
     n_all, m_all = np.nonzero(np.triu(pair_mask, k=1))
     dim = 4 * (fe.n_antennas - 1)
     # column-major storage: entry (i, j) sits at i + dim * j

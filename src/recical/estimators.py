@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegeneracyError, SingularSystemError
+from .geometry import build_geometry, reduced_mask
 from .sounding import SoundingData
 
 # LAPACK's Bunch-Kaufman factorisation of a complex Hermitian matrix, its
@@ -214,14 +215,6 @@ def em_calibrate(data: SoundingData, settings: EmSettings | None = None) -> Cali
     return CalibrationEstimate(c, iterations, delta < settings.delta_ml)
 
 
-def _chain_mask(n_antennas: int) -> np.ndarray:
-    mask = np.zeros((n_antennas, n_antennas), dtype=bool)
-    idx = np.arange(n_antennas - 1)
-    mask[idx, idx + 1] = True
-    mask[idx + 1, idx] = True
-    return mask
-
-
 def linear_array_ml(data: SoundingData) -> np.ndarray:
     """Sequential closed-form ML for a chain measured between neighbours only.
 
@@ -230,8 +223,7 @@ def linear_array_ml(data: SoundingData) -> np.ndarray:
     c_{l+1} = c_l * conj(y[l+1, l]) * y[l, l+1] / |y[l+1, l]|^2.
     """
     M = data.n_antennas
-    expected = _chain_mask(M)
-    if not np.array_equal(data.mask, expected):
+    if not np.array_equal(data.mask, reduced_mask(build_geometry(1, M, 1.0), 1.0)):
         raise ValueError("linear-array ML needs exactly the adjacent-pair mask of a 1xM chain")
     down = data.matrix[np.arange(1, M), np.arange(M - 1)]   # y[l+1, l]
     up = data.matrix[np.arange(M - 1), np.arange(1, M)]     # y[l, l+1]

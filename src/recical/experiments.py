@@ -22,8 +22,9 @@ trials share one sounding step: a trial draws its channel once and covers
 all of its noise levels (mse-sweep) or epsilons (convergence).  Right after
 the channel it draws its unit noise once, and each level's sounding scales
 that one draw, so it equals what a freshly seeded trial stream would give
-that level alone.  A capacity trial sounds once, when a calibrating variant
-asks for it, and then draws its downlink scenario from the same stream.
+that level alone.  A capacity trial sounds once, whichever variants it
+lists, and then draws its downlink scenario from the same stream, so a
+variant's rates do not depend on the other variants listed.
 Results are reduced in trial order and floats are written with shortest
 round-trip formatting, so a fixed seed gives byte-identical CSV files no
 matter how many workers run.
@@ -362,8 +363,9 @@ def run_convergence(config: ExperimentConfig, geom: ArrayGeometry, rmask: None) 
 def _capacity_trial(t: int) -> dict[str, dict[str, float]]:
     """Trial ``t``'s sum rate for every variant and precoder.
 
-    The trial's stream draws the channel and sounds it, only when a
-    calibrating variant asks for it, then draws the downlink scenario.  The
+    The trial's stream draws the channel and sounds it, whichever variants
+    are listed, then draws the downlink scenario, so a variant's rates do
+    not depend on the others listed.  Only the listed estimators run; the
     GMM and EM estimates are normalized to the reference before precoding.
     """
     ctx = _CTX
@@ -373,14 +375,13 @@ def _capacity_trial(t: int) -> dict[str, dict[str, float]]:
     c_true = true_coefficients(ctx.frontend)
     # the true-CSI baseline precodes on the downlink channel and ignores its entry
     coefficients = {UNCALIBRATED: np.ones_like(c_true), PERFECT: c_true, TRUE_CSI: c_true}
-    if {GMM_VARIANT, EM_VARIANT} & set(cap.variants):
-        (data,) = ctx.soundings([db_to_linear(cap.cal_n0_db)], rng)
-        estimates = {}
-        if GMM_VARIANT in cap.variants:
-            estimates[GMM_VARIANT] = gmm_estimate(data, cap.gmm_constraint, ref=ref)
-        if EM_VARIANT in cap.variants:
-            estimates[EM_VARIANT] = em_calibrate(data, _em_settings(ctx.config)).c_hat
-        coefficients.update({variant: c / c[ref] for variant, c in estimates.items()})
+    (data,) = ctx.soundings([db_to_linear(cap.cal_n0_db)], rng)
+    estimates = {}
+    if GMM_VARIANT in cap.variants:
+        estimates[GMM_VARIANT] = gmm_estimate(data, cap.gmm_constraint, ref=ref)
+    if EM_VARIANT in cap.variants:
+        estimates[EM_VARIANT] = em_calibrate(data, _em_settings(ctx.config)).c_hat
+    coefficients.update({variant: c / c[ref] for variant, c in estimates.items()})
     scenario = draw_scenario(
         ctx.frontend, cap.n_users, rng, noise_var=db_to_linear(cap.dl_noise_db), reciprocal_users=cap.reciprocal_users
     )

@@ -169,15 +169,16 @@ def reduced_mask(geom: ArrayGeometry, radius: float) -> np.ndarray:
     return mask
 
 
-def check_connected(pair_mask: np.ndarray) -> None:
-    """At least one pair is measured both ways, and every antenna reaches every other through such pairs."""
-    if not pair_mask.any():
+def connected_pairs(mask: np.ndarray) -> np.ndarray:
+    """The ordered pairs ``mask`` measures in both directions, refused unless they connect every antenna."""
+    pairs = mask & mask.T
+    if not pairs.any():
         raise IdentifiabilityError("mask contains no bidirectionally measured pair")
-    reached = np.zeros(pair_mask.shape[0], dtype=bool)
+    reached = np.zeros(pairs.shape[0], dtype=bool)
     reached[0] = True
     frontier = reached.copy()
     while frontier.any():
-        frontier = pair_mask[frontier].any(axis=0) & ~reached
+        frontier = pairs[frontier].any(axis=0) & ~reached
         reached |= frontier
     if not reached.all():
         raise IdentifiabilityError(
@@ -185,3 +186,4 @@ def check_connected(pair_mask: np.ndarray) -> None:
             f"{int((~reached).sum())} antennas; coefficients cannot all be "
             "related to each other"
         )
+    return pairs

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .frontend import FrontEnd
-from .geometry import check_connected, draw_complex_normal, full_mask
+from .geometry import connected_pairs, draw_complex_normal, full_mask
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,7 @@ class SoundingData:
     @cached_property
     def pairs(self) -> np.ndarray:
         """Ordered pairs measured in both directions; they must connect every antenna."""
-        pairs = self.mask & self.mask.T
-        check_connected(pairs)
-        return pairs
+        return connected_pairs(self.mask)
 
     @cached_property
     def measured(self) -> np.ndarray:

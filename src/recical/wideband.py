@@ -83,9 +83,11 @@ def per_subcarrier_estimate(
     ``truth`` is that realization's (M, N) slice of :func:`synth_wideband`.
     Each subcarrier gets a front-end realizing the true coefficient column
     (transmit gains equal to the coefficients, unit receive gains), one
-    sounding round with independent noise, and an unpenalized EM run seeded
-    by the GMM estimate.  Results are normalized to the reference antenna,
-    so the noiseless output is exactly truth[:, k] / truth[ref, k].
+    sounding round with independent noise, and EM under ``em_settings``
+    (unpenalized by default) seeded by the GMM estimate; the wideband
+    experiment passes the run's ``estimator`` settings.  Results are
+    normalized to the reference antenna, so the noiseless output is exactly
+    truth[:, k] / truth[ref, k].
 
     The channel, shared by all subcarriers, is drawn from ``rng`` with no
     coupling matrix, so each call (each wideband realization) draws its own

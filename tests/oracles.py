@@ -11,7 +11,7 @@ from recical.crlb import (
     fisher_information,
     pair_derivatives,
 )
-from recical.estimators import CalibrationEstimate, _em_c_step, _em_psi_step
+from recical.estimators import CalibrationEstimate
 from recical.frontend import FrontEnd
 from recical.sounding import SoundingData
 
@@ -243,13 +243,41 @@ def em_fixed_point_residuals(data: SoundingData, estimate: CalibrationEstimate, 
     Returns ``(||psi' - psi''||, ||c' - c_hat||)`` where psi' is the channel
     update evaluated at ``c_hat``, c' the coefficient update evaluated at
     psi', and psi'' the channel update evaluated at c'.  Both vanish at a
-    joint stationary point of the objective penalized by ``epsilon``.
+    joint stationary point of the objective penalized by ``epsilon``
+    (:func:`em_objective`).  The two updates are that objective's exact
+    minimizers, written here pair by pair from the sounding's matrix and
+    mask alone:
+
+    - the symmetric psi_nm = psi_mn minimizes |y_nm - psi c_m|^2 +
+      |y_mn - psi c_n|^2 + 2 eps |psi|^2, so psi_nm = (conj(c_m) y_nm +
+      conj(c_n) y_mn) / (|c_n|^2 + |c_m|^2 + 2 eps), and zero on the pairs
+      not measured both ways;
+    - c_m minimizes sum_n |y_nm - psi_nm c_m|^2 + eps |c_m|^2, so
+      c_m = sum_n conj(psi_nm) y_nm / (eps + sum_n |psi_nm|^2).
     """
-    y, off_mask = data.measured, ~data.pairs
-    psi = _em_psi_step(y, y.T, off_mask, estimate.c_hat, epsilon)
-    num, den = _em_c_step(y, psi, epsilon)
-    c_next = num / den
-    psi_next = _em_psi_step(y, y.T, off_mask, c_next, epsilon)
+    y, mask = data.matrix, data.mask
+    M = data.n_antennas
+    pairs = [(n, m) for n in range(M) for m in range(n + 1, M) if mask[n, m] and mask[m, n]]
+
+    def psi_update(c):
+        psi = np.zeros((M, M), dtype=complex)
+        for n, m in pairs:
+            value = (np.conj(c[m]) * y[n, m] + np.conj(c[n]) * y[m, n]) / (abs(c[n]) ** 2 + abs(c[m]) ** 2 + 2 * epsilon)
+            psi[n, m] = psi[m, n] = value
+        return psi
+
+    def c_update(psi):
+        num = np.zeros(M, dtype=complex)
+        den = np.full(M, float(epsilon))
+        for n, m in pairs:
+            for row, col in ((n, m), (m, n)):
+                num[col] += np.conj(psi[row, col]) * y[row, col]
+                den[col] += abs(psi[row, col]) ** 2
+        return num / den
+
+    psi = psi_update(estimate.c_hat)
+    c_next = c_update(psi)
+    psi_next = psi_update(c_next)
     return (
         float(np.linalg.norm(psi_next - psi)),
         float(np.linalg.norm(c_next - estimate.c_hat)),

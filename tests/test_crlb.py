@@ -253,6 +253,23 @@ class TestFisherInformation:
         with pytest.raises(ValueError):
             CrlbInputs(fe, np.ones((2, 2), complex), 0.0, 1e-3, full_mask(2))
 
+    @pytest.mark.parametrize(
+        "mask_size, coupling_size",
+        [(5, 6), (7, 6), (6, 5), (6, 7)],
+    )
+    def test_matrices_sized_for_another_array_rejected(self, coupling, mask_size, coupling_size):
+        # finite matrices one antenna short or over: the refusal names both
+        # shapes, not the connectivity or an index past the array
+        rng = np.random.default_rng(6)
+        hbar = draw_coupling(build_geometry(1, coupling_size), coupling, rng)
+        np.fill_diagonal(hbar, 0.0)
+        fe = random_frontend(6, 2, 0.3, rng)
+        wrong = "mask" if mask_size != 6 else "coupling_mean"
+        size = mask_size if mask_size != 6 else coupling_size
+        with pytest.raises(ValueError, match=rf"{wrong} shape \({size}, {size}\) does not match the front-end's \(6, 6\)") as info:
+            CrlbInputs(fe, hbar, coupling.sigma2, 1e-6, full_mask(mask_size))
+        assert not isinstance(info.value, IdentifiabilityError)
+
 
 class TestCrlbCoefficients:
     def test_bound_positive_and_ref_undefined(self):

@@ -22,7 +22,7 @@ from recical.estimators import (
     score_mse,
 )
 from recical.frontend import deterministic_frontend, random_frontend, true_coefficients
-from recical.geometry import build_geometry, check_connected, draw_channel, reduced_mask
+from recical.geometry import build_geometry, connected_pairs, draw_channel, reduced_mask
 from recical.sounding import SoundingData, sound
 
 
@@ -385,11 +385,11 @@ class TestDerivedInputs:
     def test_one_connectivity_check_per_sounding(self, coupling, monkeypatch):
         calls = []
 
-        def counting(pairs):
-            calls.append(pairs)
-            check_connected(pairs)
+        def counting(mask):
+            calls.append(mask)
+            return connected_pairs(mask)
 
-        monkeypatch.setattr(recical.sounding, "check_connected", counting)
+        monkeypatch.setattr(recical.sounding, "connected_pairs", counting)
         data, _ = make_data(2, 4, coupling, 1e-5, seed=25, ref=3)
         gmm_estimate(data, ref=3)
         em_calibrate(data, EmSettings(ref=3))

@@ -26,7 +26,7 @@ from recical.config import (
 )
 from recical.estimators import EmSettings
 from recical.experiments import run_experiment
-from recical.geometry import build_geometry, check_connected, draw_channel, reduced_mask
+from recical.geometry import build_geometry, connected_pairs, draw_channel, reduced_mask
 from recical.sounding import sound
 from recical.wideband import ks_critical
 
@@ -276,11 +276,11 @@ class TestConfig:
              lambda: ks_critical(1200, 1.5)),
             # radii that leave no measured pair: the bound's own connectivity check
             ("mse_sweep.reduced_radius", {"array": {"spacing": 1.0}},
-             lambda: check_connected(reduced_mask(build_geometry(4, 25, 1.0), 0.7071067811865476))),
+             lambda: connected_pairs(reduced_mask(build_geometry(4, 25, 1.0), 0.7071067811865476))),
             ("mse_sweep.reduced_radius", {"mse_sweep": {"reduced_radius": 0.3}},
-             lambda: check_connected(reduced_mask(build_geometry(4, 25), 0.3))),
+             lambda: connected_pairs(reduced_mask(build_geometry(4, 25), 0.3))),
             ("reduced_set.radius", {"experiment": "reduced-set", "reduced_set": {"radius": 0.3}},
-             lambda: check_connected(reduced_mask(build_geometry(4, 25), 0.3))),
+             lambda: connected_pairs(reduced_mask(build_geometry(4, 25), 0.3))),
         ],
     )
     def test_owner_check_refuses_value(self, key, payload, owner):
@@ -549,6 +549,21 @@ class TestRunners:
         variants = {r["variant"] for r in rows}
         assert variants == {"uncalibrated", "gmm", "em", "perfect", "true-downlink-csi"}
 
+    def test_capacity_rates_do_not_depend_on_other_variants(self, tmp_path):
+        # every trial sounds, so the downlink scenario comes from the same
+        # stream position whether or not a calibrating variant is listed
+        shared = ["uncalibrated", "perfect", "true-downlink-csi"]
+        rates = []
+        for name, variants in (("all", ["uncalibrated", "gmm", "em", "perfect", "true-downlink-csi"]), ("shared", shared)):
+            cfg = config_from_dict(
+                {"experiment": "capacity", "seed": 5, "trials": 3, "out_dir": str(tmp_path / name),
+                 "array": TINY_ARRAY, "capacity": {"n_users": 3, "variants": variants}}
+            )
+            run_experiment(cfg)
+            rates.append([r for r in read_csv(tmp_path / name / "capacity.csv") if r["variant"] in shared])
+        assert len(rates[1]) == 3 * 2 * 3  # variants x precoders x trials
+        assert rates[0] == rates[1]
+
     def test_wideband_run(self, tmp_path):
         cfg = config_from_dict(
             {
@@ -581,6 +596,20 @@ class TestRunners:
             manifest = run_experiment(cfg)
             outputs.append({name: (tmp_path / kind / name).read_bytes() for name in manifest.outputs})
         assert outputs[0] == outputs[1]
+
+    def test_wideband_fits_use_the_estimator_epsilon(self, tmp_path):
+        # each subcarrier's EM runs under the run's estimator settings, so a
+        # penalty moves the kernel fits
+        fits = []
+        for eps in (0.0, 0.5):
+            out = tmp_path / str(eps)
+            cfg = config_from_dict(
+                {"experiment": "wideband", "seed": 3, "out_dir": str(out), "estimator": {"epsilon": eps}, **TINY_WIDEBAND}
+            )
+            run_experiment(cfg)
+            fits.append(read_csv(out / "wideband_fits.csv"))
+        assert len(fits[0]) == len(fits[1]) == 10
+        assert fits[0] != fits[1]
 
     def test_crlb_map_and_reduced_set(self, tmp_path):
         cfg = config_from_dict(
@@ -627,11 +656,11 @@ class TestRunners:
 
             monkeypatch.setattr(owner, name, counted)
 
-        for name in ("build_geometry", "reduced_mask", "check_connected"):
+        for name in ("build_geometry", "reduced_mask", "connected_pairs"):
             count(config_module, name)
         count(ExperimentConfig, "validate")
         assert not hasattr(experiments, "reduced_mask") and not hasattr(experiments, "build_geometry")
-        once = Counter(validate=1, build_geometry=1, reduced_mask=radii, check_connected=radii)
+        once = Counter(validate=1, build_geometry=1, reduced_mask=radii, connected_pairs=radii)
 
         payload = {"experiment": experiment, "seed": 3, "array": TINY_ARRAY, **overrides}
         cfg = config_from_dict({**payload, "out_dir": str(tmp_path / "library")})
