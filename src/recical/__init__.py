@@ -41,7 +41,6 @@ from .geometry import (
 from .sounding import SoundingData, sound
 from .wideband import (
     PcaResult,
-    WidebandParams,
     ks_gaussianity,
     pca,
     per_subcarrier_estimate,
@@ -66,7 +65,6 @@ __all__ = [
     "PcaResult",
     "SingularSystemError",
     "SoundingData",
-    "WidebandParams",
     "build_geometry",
     "calibrated_downlink",
     "coupling_gain_db",

@@ -52,14 +52,7 @@ from .estimators import EmSettings, em_calibrate, em_iterates, gmm_estimate, sco
 from .frontend import FrontEnd, deterministic_frontend, random_frontend, true_coefficients
 from .geometry import ArrayGeometry, CouplingModel, draw_channel, draw_complex_normal, draw_coupling, full_mask
 from .sounding import sound
-from .wideband import (
-    WidebandParams,
-    ks_gaussianity,
-    pca,
-    per_subcarrier_estimate,
-    synth_wideband,
-    wideband_record,
-)
+from .wideband import PCA_COMPONENTS, ks_gaussianity, pca, per_subcarrier_estimate, synth_wideband, wideband_record
 
 SEED_SCHEME = (
     "numpy SeedSequence((master_seed, experiment_id, trial)); coupling phases and the wideband kernel use "
@@ -122,34 +115,6 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def build_setup(config: ExperimentConfig, geom: ArrayGeometry) -> tuple[CouplingModel, FrontEnd]:
-    """Coupling model and front-end described by a config, on the geometry its validation built."""
-    arr = config.array
-    cpl = config.coupling
-    model = CouplingModel(
-        cpl.co_slope_db,
-        cpl.co_intercept_db,
-        cpl.cross_slope_db,
-        cpl.cross_intercept_db,
-        db_to_linear(cpl.sigma2_db),
-    )
-    if config.frontend.kind == "deterministic":
-        fe = deterministic_frontend(geom.n_antennas, arr.ref_index)
-    else:
-        fe = random_frontend(
-            geom.n_antennas,
-            arr.ref_index,
-            config.frontend.spread,
-            frontend_rng(config.seed, config.experiment),
-        )
-    return model, fe
-
-
-def _em_settings(config: ExperimentConfig) -> EmSettings:
-    est = config.estimator
-    return EmSettings(epsilon=est.epsilon, delta_ml=est.delta_ml, max_iter=est.max_iter, ref=config.array.ref_index)
 
 
 def _db(x: float) -> float:
@@ -248,12 +213,17 @@ def _run_trials(worker, ctx, trials: int) -> list:
 
 @dataclass
 class _TrialContext:
-    """What every task of one run shares; ``truths`` holds the wideband realizations, (R, M, N)."""
+    """What every task of one run shares, built once per run by :func:`build_setup`.
+
+    ``settings`` are the run's EM settings; a runner adds the coupling mean
+    or, in wideband, ``truths``, the realizations, (R, M, N).
+    """
 
     config: ExperimentConfig
     geometry: ArrayGeometry
     model: CouplingModel
     frontend: FrontEnd
+    settings: EmSettings
     coupling_mean: np.ndarray | None = None
     truths: np.ndarray | None = None
 
@@ -278,20 +248,43 @@ class _TrialContext:
         return crlb_coefficients(CrlbInputs(self.frontend, self.coupling_mean, self.model.sigma2, n0, mask))
 
 
+def build_setup(config: ExperimentConfig, geom: ArrayGeometry) -> _TrialContext:
+    """The run's one set-up on the geometry its validation built: coupling model, front-end and EM settings."""
+    arr = config.array
+    cpl = config.coupling
+    est = config.estimator
+    model = CouplingModel(
+        cpl.co_slope_db,
+        cpl.co_intercept_db,
+        cpl.cross_slope_db,
+        cpl.cross_intercept_db,
+        db_to_linear(cpl.sigma2_db),
+    )
+    if config.frontend.kind == "deterministic":
+        fe = deterministic_frontend(geom.n_antennas, arr.ref_index)
+    else:
+        fe = random_frontend(
+            geom.n_antennas,
+            arr.ref_index,
+            config.frontend.spread,
+            frontend_rng(config.seed, config.experiment),
+        )
+    settings = EmSettings(epsilon=est.epsilon, delta_ml=est.delta_ml, max_iter=est.max_iter, ref=arr.ref_index)
+    return _TrialContext(config, geom, model, fe, settings)
+
+
 def _context(config: ExperimentConfig, geom: ArrayGeometry) -> _TrialContext:
-    """The run's one set-up on its validated geometry, with the coupling mean drawn from the shared stream."""
-    model, fe = build_setup(config, geom)
-    hbar = draw_coupling(geom, model, shared_rng(config.seed, config.experiment))
-    return _TrialContext(config, geom, model, fe, hbar)
+    """The run's set-up with the coupling mean drawn from the shared stream."""
+    ctx = build_setup(config, geom)
+    return replace(ctx, coupling_mean=draw_coupling(geom, ctx.model, shared_rng(config.seed, config.experiment)))
 
 
 def _mse_trial(t: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The GMM and EM estimates of trial ``t`` at every noise point."""
     config = _CTX.config
-    settings = _em_settings(config)
     n0s = [db_to_linear(n0_db) for n0_db in config.mse_sweep.n0_grid_db]
     return [
-        (gmm_estimate(data, config.estimator.gmm_constraint, ref=_CTX.frontend.ref), em_calibrate(data, settings).c_hat)
+        (gmm_estimate(data, config.estimator.gmm_constraint, ref=_CTX.frontend.ref), em_calibrate(data, _CTX.settings).c_hat)
         for data in _CTX.soundings(n0s, _CTX.trial_stream(t))
     ]
 
@@ -339,7 +332,7 @@ def _convergence_trial(t: int) -> list[np.ndarray]:
     c_others = true_coefficients(ctx.frontend)[others]
     results = []
     for eps in config.estimator.epsilon_grid:
-        iterates = islice(em_iterates(data, replace(_em_settings(config), epsilon=eps)), track)
+        iterates = islice(em_iterates(data, replace(ctx.settings, epsilon=eps)), track)
         coeffs, deltas = map(np.array, zip(*((c, delta) for c, _, delta in iterates)))
         errors = c_others - coeffs[:, others] / coeffs[:, ref, None]
         # one mean per row: a mean along axis 1 sums in another order
@@ -380,7 +373,7 @@ def _capacity_trial(t: int) -> dict[str, dict[str, float]]:
     if GMM_VARIANT in cap.variants:
         estimates[GMM_VARIANT] = gmm_estimate(data, cap.gmm_constraint, ref=ref)
     if EM_VARIANT in cap.variants:
-        estimates[EM_VARIANT] = em_calibrate(data, _em_settings(ctx.config)).c_hat
+        estimates[EM_VARIANT] = em_calibrate(data, ctx.settings).c_hat
     coefficients.update({variant: c / c[ref] for variant, c in estimates.items()})
     scenario = draw_scenario(
         ctx.frontend, cap.n_users, rng, noise_var=db_to_linear(cap.dl_noise_db), reciprocal_users=cap.reciprocal_users
@@ -405,27 +398,27 @@ def _wideband_realization(r: int) -> np.ndarray:
     ctx = _CTX
     return per_subcarrier_estimate(
         ctx.truths[r], ctx.geometry, ctx.model, db_to_linear(ctx.config.wideband.n0_db), ctx.frontend.ref,
-        ctx.trial_stream(r),
-        em_settings=_em_settings(ctx.config),
+        ctx.trial_stream(r), em_settings=ctx.settings,
     )
 
 
 def run_wideband(config: ExperimentConfig, geom: ArrayGeometry, rmask: None) -> Tables:
     """Subcarrier-process study: PCA spectra, kernel fits, residual KS tests.
 
-    Reads no front-end from the config: each subcarrier's front-end realizes a truth column; ``fe`` gives only ``ref``.
+    Reads no front-end from the config: each subcarrier's front-end realizes a truth column; the run's gives only ``ref``.
     """
-    model, fe = build_setup(config, geom)
     wb = config.wideband
-    params = WidebandParams(tuple(wb.offset_range), wb.mag_slope_max, wb.phase_slope_max)
-    truths = synth_wideband(geom.n_antennas, wb.n_subcarriers, params, wb.realizations, shared_rng(config.seed, config.experiment))
-    ctx = _TrialContext(config, geom, model, fe, truths=truths)
+    truths = synth_wideband(
+        geom.n_antennas, wb.n_subcarriers, wb.realizations, shared_rng(config.seed, config.experiment),
+        offset_range=wb.offset_range, mag_slope_max=wb.mag_slope_max, phase_slope_max=wb.phase_slope_max,
+    )
+    ctx = replace(build_setup(config, geom), truths=truths)
     estimates = np.stack(_run_trials(_wideband_realization, ctx, wb.realizations))
 
     spectra_rows = [
         (m + 1, i + 1, lam / res.eigenvalues[0])
         for m, res in enumerate(pca(estimates))
-        for i, lam in enumerate(res.eigenvalues[: res.components.shape[1]])
+        for i, lam in enumerate(res.eigenvalues[:PCA_COMPONENTS])
     ]
     record = wideband_record(estimates[0])
     fit_rows = [
@@ -434,7 +427,7 @@ def run_wideband(config: ExperimentConfig, geom: ArrayGeometry, rmask: None) -> 
     ]
     ks_rows = []
     for m, residual in enumerate(record.residuals):
-        if m == fe.ref:
+        if m == ctx.frontend.ref:
             continue  # the reference row is identically one; its residual is void
         for part, values in (("re", residual.real), ("im", residual.imag)):
             result = ks_gaussianity(values, wb.ks_alpha)

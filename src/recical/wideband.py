@@ -28,39 +28,35 @@ KS_MIN_SAMPLES = 50
 PCA_COMPONENTS = 10
 
 
-@dataclass(frozen=True)
-class WidebandParams:
-    """Ranges for the per-antenna kernel parameters of synthetic truth."""
-
-    offset_range: tuple[float, float] = (0.9, 1.1)
-    mag_slope_max: float = 5e-5
-    phase_slope_max: float = 1e-4
-
-
 def synth_wideband(
     n_antennas: int,
     n_subcarriers: int,
-    params: WidebandParams,
     realizations: int,
     rng: np.random.Generator,
+    *,
+    offset_range: tuple[float, float],
+    mag_slope_max: float,
+    phase_slope_max: float,
 ) -> np.ndarray:
     """True wideband coefficients, (R, M, N) complex: realization, antenna, subcarrier.
 
     truth[r, m, k] = A_m * exp((gamma_m + j*2*pi*xi_m) * k) * exp(j*2*pi*zeta_rm)
 
-    The kernel parameters (complex offset A, magnitude slope gamma, phase
-    slope xi) are drawn once, in that order; the oscillator phase zeta,
-    uniform in [0, 1), is drawn per realization, one antenna vector each.
+    The kernel parameters are drawn once, in this order: the complex offset
+    A (magnitude uniform in ``offset_range``, phase uniform), then the
+    slopes gamma and xi, uniform within +-``mag_slope_max`` and
+    +-``phase_slope_max``.  The oscillator phase zeta, uniform in [0, 1),
+    is drawn per realization, one antenna vector each.
     """
     if realizations < 1:
         raise ValueError(f"need at least one realization, got {realizations}")
     k = np.arange(n_subcarriers)
-    lo, hi = params.offset_range
+    lo, hi = offset_range
     offsets = rng.uniform(lo, hi, size=n_antennas) * np.exp(
         2j * np.pi * rng.uniform(size=n_antennas)
     )
-    gamma = rng.uniform(-params.mag_slope_max, params.mag_slope_max, size=n_antennas)
-    xi = rng.uniform(-params.phase_slope_max, params.phase_slope_max, size=n_antennas)
+    gamma = rng.uniform(-mag_slope_max, mag_slope_max, size=n_antennas)
+    xi = rng.uniform(-phase_slope_max, phase_slope_max, size=n_antennas)
     kernel = offsets[:, None] * np.exp((gamma + 2j * np.pi * xi)[:, None] * k[None, :])
     out = np.empty((realizations, n_antennas, n_subcarriers), dtype=complex)
     for r in range(realizations):

@@ -37,13 +37,15 @@ from recical.geometry import (
 )
 from recical.sounding import sound
 from recical.wideband import (
-    WidebandParams,
     ks_gaussianity,
     per_subcarrier_estimate,
     synth_wideband,
     wideband_fit,
     wideband_record,
 )
+
+# the kernel ranges of the wideband config's defaults
+KERNEL_RANGES = {"offset_range": (0.9, 1.1), "mag_slope_max": 5e-5, "phase_slope_max": 1e-4}
 
 EDGE = 0        # corner of the 4x25 grid
 ADJACENT = 38   # right neighbour of the reference antenna
@@ -288,7 +290,7 @@ def test_09_wideband_averaging():
 def test_10_residual_gaussianity():
     geom = build_geometry(4, 25)
     rng = np.random.default_rng(1000)
-    truth = synth_wideband(100, 1200, WidebandParams(), 1, rng)[0]
+    truth = synth_wideband(100, 1200, 1, rng, **KERNEL_RANGES)[0]
     c_hat = per_subcarrier_estimate(truth, geom, DEFAULT_COUPLING, 1e-8, REF, rng)
     record = wideband_record(c_hat)
     passes = 0

@@ -13,7 +13,8 @@ from recical.sounding import sound
 from recical.wideband import ks_critical
 
 # names that left the library: deleted, or moved to the test oracles
-REMOVED = ("em_fixed_point_residuals", "equivalent_channel", "pair_distance_polarization", "pair_statistics")
+REMOVED = ("em_fixed_point_residuals", "equivalent_channel", "pair_distance_polarization", "pair_statistics",
+           "WidebandParams")
 
 
 def test_star_import_binds_every_exported_name():

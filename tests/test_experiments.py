@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recical import cli, experiments
+from recical import cli, experiments, wideband
 from recical import config as config_module
 from recical.config import (
     EXPERIMENT_IDS, ArraySection, ConfigError, ConvergenceSection, CrlbMapSection, EstimatorSection,
@@ -611,6 +611,39 @@ class TestRunners:
         assert len(fits[0]) == len(fits[1]) == 10
         assert fits[0] != fits[1]
 
+    def test_every_em_run_gets_the_estimator_settings(self, tmp_path, monkeypatch):
+        # every EM call of every runner sees the run's estimator settings;
+        # convergence runs each grid epsilon in turn in their place
+        seen = []
+
+        def record(owner, name):
+            original = getattr(owner, name)
+
+            def recorded(data, em_settings):
+                seen.append(em_settings)
+                return original(data, em_settings)
+
+            monkeypatch.setattr(owner, name, recorded)
+
+        record(experiments, "em_calibrate")
+        record(experiments, "em_iterates")
+        record(wideband, "em_calibrate")
+        estimator = {"epsilon": 0.2, "delta_ml": 1e-5, "max_iter": 7, "epsilon_grid": [0.0, 0.3]}
+        runs = {  # overrides, and the epsilon of each EM call in order
+            "mse-sweep": ({"trials": 2, "mse_sweep": {"n0_grid_db": [-60.0, -40.0], "antennas": [1, 2]}}, [0.2] * 4),
+            "convergence": ({"trials": 2, "convergence": {"track_iterations": 3}}, [0.0, 0.3] * 2),
+            "capacity": ({"trials": 2, "capacity": {"n_users": 2}}, [0.2] * 2),
+            "wideband": ({"wideband": TINY_WIDEBAND["wideband"]}, [0.2] * 3 * 50),
+        }
+        for experiment, (overrides, epsilons) in runs.items():
+            seen.clear()
+            payload = {"experiment": experiment, "seed": 3, "workers": 1, "array": TINY_ARRAY, "estimator": estimator,
+                       "out_dir": str(tmp_path / experiment), **overrides}
+            run_experiment(config_from_dict(payload))
+            assert [s.epsilon for s in seen] == epsilons, experiment
+            for s in seen:
+                assert (s.delta_ml, s.max_iter, s.ref, s.init) == (1e-5, 7, TINY_ARRAY["ref"] - 1, None), experiment
+
     def test_crlb_map_and_reduced_set(self, tmp_path):
         cfg = config_from_dict(
             {"experiment": "crlb-map", "seed": 5, "out_dir": str(tmp_path / "map"),
@@ -755,7 +788,7 @@ class TestSeeding:
 
         monkeypatch.setattr(experiments, "random_frontend", takes_rng("frontend", experiments.random_frontend, 3))
         monkeypatch.setattr(experiments, "draw_coupling", takes_rng("coupling", experiments.draw_coupling, 2))
-        monkeypatch.setattr(experiments, "synth_wideband", takes_rng("kernel", experiments.synth_wideband, 4))
+        monkeypatch.setattr(experiments, "synth_wideband", takes_rng("kernel", experiments.synth_wideband, 3))
         monkeypatch.setattr(experiments, "trial_rng", makes_rng(experiments.trial_rng))
 
         def first_draws(state, n=2048):

@@ -9,7 +9,6 @@ from recical.errors import AliasingError
 from recical.frontend import FrontEnd
 from recical.geometry import build_geometry, coupling_magnitudes, full_mask
 from recical.wideband import (
-    WidebandParams,
     ks_critical,
     ks_gaussianity,
     pca,
@@ -20,6 +19,10 @@ from recical.wideband import (
 )
 
 
+# the kernel ranges of the wideband config's defaults
+KERNEL_RANGES = {"offset_range": (0.9, 1.1), "mag_slope_max": 5e-5, "phase_slope_max": 1e-4}
+
+
 def kernel_row(offset, mag_slope, phase_slope, n):
     k = np.arange(n)
     return offset * np.exp((mag_slope + 2j * np.pi * phase_slope) * k)
@@ -27,15 +30,14 @@ def kernel_row(offset, mag_slope, phase_slope, n):
 
 class TestSynthWideband:
     def test_flat_parameters_give_constant_unit_rows(self, rng):
-        params = WidebandParams(offset_range=(1.0, 1.0), mag_slope_max=0.0, phase_slope_max=0.0)
-        truth = synth_wideband(5, 32, params, 1, rng)[0]
+        truth = synth_wideband(5, 32, 1, rng, offset_range=(1.0, 1.0), mag_slope_max=0.0, phase_slope_max=0.0)[0]
         assert np.abs(truth) == pytest.approx(np.ones((5, 32)))
         assert truth == pytest.approx(truth[:, :1] * np.ones((1, 32)))
 
     def test_parameters_held_phases_redrawn(self, rng):
         # offset magnitudes and both slopes are shared: each realization is
         # the first turned by one phase per antenna, constant along k
-        truths = synth_wideband(4, 16, WidebandParams(), 3, rng)
+        truths = synth_wideband(4, 16, 3, rng, **KERNEL_RANGES)
         assert truths.shape == (3, 4, 16)
         assert np.abs(truths) == pytest.approx(np.broadcast_to(np.abs(truths[0]), truths.shape), rel=1e-12)
         turns = truths / truths[0]
@@ -45,20 +47,20 @@ class TestSynthWideband:
     def test_oscillator_phase_zero_mean(self, rng):
         # one antenna's unit phasors turn only by its oscillator phase, so
         # their mean has the modulus of that phase's mean
-        truths = synth_wideband(4, 4, WidebandParams(), 25_000, rng)
+        truths = synth_wideband(4, 4, 25_000, rng, **KERNEL_RANGES)
         phasors = truths[:, :, 0] / np.abs(truths[:, :, 0])
         assert phasors.size == 100_000
         assert np.abs(phasors.mean(axis=0)).max() < 0.02
 
     def test_cross_antenna_phases_uncorrelated(self, rng):
-        truths = synth_wideband(2, 4, WidebandParams(), 100_000, rng)
+        truths = synth_wideband(2, 4, 100_000, rng, **KERNEL_RANGES)
         phasors = truths[:, :, 0] / np.abs(truths[:, :, 0])
         prods = phasors[:, 0] * np.conj(phasors[:, 1])
         assert abs(prods.mean()) < 0.02
 
     def test_realization_count_validated(self, rng):
         with pytest.raises(ValueError):
-            synth_wideband(2, 1200, WidebandParams(), 0, rng)
+            synth_wideband(2, 1200, 0, rng, **KERNEL_RANGES)
 
     def test_grid_validation(self):
         # the subcarrier count is the whole grid; an FFT size is no config key
@@ -69,12 +71,12 @@ class TestSynthWideband:
 class TestPerSubcarrierEstimate:
     def test_noiseless_recovers_normalized_truth(self, coupling, rng):
         geom = build_geometry(2, 3)
-        truth = synth_wideband(6, 16, WidebandParams(), 1, rng)[0]
+        truth = synth_wideband(6, 16, 1, rng, **KERNEL_RANGES)[0]
         c_hat = per_subcarrier_estimate(truth, geom, coupling, 0.0, 5, rng)
         assert c_hat == pytest.approx(truth / truth[5], abs=1e-9)
 
     def test_antenna_count_checked(self, coupling, rng):
-        truth = synth_wideband(6, 16, WidebandParams(), 1, rng)[0]
+        truth = synth_wideband(6, 16, 1, rng, **KERNEL_RANGES)[0]
         with pytest.raises(ValueError, match="truth and geometry disagree on the antenna count"):
             per_subcarrier_estimate(truth, build_geometry(2, 2), coupling, 0.0, 0, rng)
 
@@ -83,7 +85,7 @@ class TestPerSubcarrierEstimate:
         # statistical noise of 1/sqrt(N) so the mean over antennas is tested
         geom = build_geometry(3, 4)
         rng = np.random.default_rng(2)
-        truth = synth_wideband(12, 1200, WidebandParams(), 1, rng)[0]
+        truth = synth_wideband(12, 1200, 1, rng, **KERNEL_RANGES)[0]
         c_hat = per_subcarrier_estimate(truth, geom, coupling, 1e-8, 5, rng)
         err = c_hat - truth / truth[5]
         rho = []
@@ -99,7 +101,7 @@ class TestPerSubcarrierEstimate:
         ref = 5
         n0 = 1e-8
         rng = np.random.default_rng(9)
-        truth = synth_wideband(12, 400, WidebandParams(), 1, rng)[0]
+        truth = synth_wideband(12, 400, 1, rng, **KERNEL_RANGES)[0]
         c_hat = per_subcarrier_estimate(truth, geom, coupling, n0, ref, rng)
         err = c_hat - truth / truth[ref]
         # the bound depends on subcarrier k only through the mild drift of
@@ -120,12 +122,12 @@ class TestPerSubcarrierEstimate:
 
 class TestPca:
     def test_noiseless_process_is_rank_one(self, rng):
-        truths = synth_wideband(6, 100, WidebandParams(), 100, rng)
+        truths = synth_wideband(6, 100, 100, rng, **KERNEL_RANGES)
         for res in pca(truths):
             assert res.eigenvalues[0] / res.eigenvalues[1] > 1e3
 
     def test_leading_component_aligned_with_kernel(self, rng):
-        truths = synth_wideband(4, 100, WidebandParams(), 50, rng)
+        truths = synth_wideband(4, 100, 50, rng, **KERNEL_RANGES)
         results = pca(truths)
         for m, res in enumerate(results):
             # the kernel with unit offset: the row divided by its first entry
@@ -165,7 +167,7 @@ class TestPca:
         # estimation noise only dents the spectrum far below the leading mode
         geom = build_geometry(2, 4)
         rng = np.random.default_rng(8)
-        truths = synth_wideband(8, 200, WidebandParams(), 10, rng)
+        truths = synth_wideband(8, 200, 10, rng, **KERNEL_RANGES)
         stack = np.stack(
             [per_subcarrier_estimate(t, geom, coupling, 1e-8, 4, rng) for t in truths]
         )
